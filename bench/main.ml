@@ -16,6 +16,7 @@ open Toolkit
 open Vuvuzela_crypto
 open Vuvuzela_dp
 open Vuvuzela
+open Vuvuzela_oracles
 
 let line () = print_endline (String.make 78 '-')
 
@@ -667,7 +668,7 @@ let crypto_bench () =
   in
   let per_item_ops =
     ops_per_sec ~min_s:0.3 (fun () ->
-        ignore (Pool.mapi_array_per_item p work items))
+        ignore (Pool_ref.mapi_array_per_item p work items))
   in
   Pool.shutdown p;
   Printf.printf

@@ -173,15 +173,16 @@ let cmd =
       value & flag
       & info [ "pipeline" ]
           ~doc:
-            "Stream forward batches to the next server as chunked parts so \
-             it starts peeling before the whole batch arrives. Results are \
-             bit-identical either way.")
+            "Send forward batches to the next server as parts of \
+             $(b,--pipeline-chunk) onions so it starts peeling before the \
+             whole batch arrives; without it each batch is one part. \
+             Results are bit-identical either way.")
   in
   let pipeline_chunk =
     Arg.(
       value & opt int 16
       & info [ "pipeline-chunk" ] ~docv:"N"
-          ~doc:"Onions per streamed part (with $(b,--pipeline)).")
+          ~doc:"Onions per forward part (with $(b,--pipeline)).")
   in
   let fault_plan =
     Arg.(

@@ -2,29 +2,24 @@
 
    All clients connect (through the entry server) to server 0; requests
    travel down the chain, are resolved at the last server, and results
-   travel back up.  This module runs the whole in-process round trip,
-   calling each server in order — the same sequence of messages a
-   networked deployment would exchange. *)
+   travel back up.  In-process, each server is a {!Relay} and the links
+   between them are a FIFO of frames, each pushed through the Rpc codec
+   on its way — the TCP chain without sockets. *)
 
 module Pool = Vuvuzela_parallel.Pool
 module Fault = Vuvuzela_faults.Fault
 module Telemetry = Vuvuzela_telemetry.Telemetry
 
 type t = {
-  servers : Server.t array;
+  relays : Relay.t array;
   pool : Pool.t option;  (** shared by all servers; [None] ⇒ sequential *)
-  faults : Fault.injector option;  (** injected at forward link crossings *)
-  tap : (round:int -> server:int -> bytes array -> unit) option;
-      (** observes every forward batch exactly as it crosses the wire
-          (post-tamper, pre-framing) — the tests' wiretap *)
+  faults : Fault.injector option;  (** shared by every relay's link *)
   tel : Telemetry.t option;
-      (** shared with the servers; [None] is the nil sink *)
-  pipeline : bool;  (** relay forward batches as streamed parts *)
-  chunk : int;  (** onions per part when pipelined *)
+  dial_kind : Dialing.kind;
   mutable shut_down : bool;
   mutable delay_ms : float;
-      (** virtual link stall accumulated by [Delay_ms] faults during the
-          round in flight; reset when a round starts *)
+      (** virtual link stall accumulated by the faults of the round in
+          flight; reset when a round starts *)
 }
 
 let of_config (cfg : Config.t) =
@@ -34,9 +29,11 @@ let of_config (cfg : Config.t) =
   (* The servers take turns (the in-process round trip is sequential
      along the chain), so one pool serves them all. *)
   let pool = if cfg.jobs > 1 then Some (Pool.create ~jobs:cfg.jobs) else None in
+  let faults = Option.map Fault.injector cfg.fault_plan in
+  let chunk = if cfg.pipeline then Some cfg.pipeline_chunk else None in
   (* Build from the last server backwards so each server knows the public
      keys of its downstream suffix. *)
-  let servers = Array.make cfg.n_servers None in
+  let relays = Array.make cfg.n_servers None in
   let suffix = ref [] in
   for position = cfg.n_servers - 1 downto 0 do
     let scfg =
@@ -62,44 +59,26 @@ let of_config (cfg : Config.t) =
       Server.create ?rng_seed ?pool ?telemetry:cfg.telemetry ~cfg:scfg
         ~suffix_pks:!suffix ()
     in
-    servers.(position) <- Some server;
+    relays.(position) <-
+      Some
+        (Relay.create ?faults ?tap:cfg.tap ?telemetry:cfg.telemetry ?chunk
+           ~index:position server);
     suffix := Server.public_key server :: !suffix
   done;
   {
-    servers = Array.map Option.get servers;
+    relays = Array.map Option.get relays;
     pool;
-    faults = Option.map Fault.injector cfg.fault_plan;
-    tap = cfg.tap;
+    faults;
     tel = cfg.telemetry;
-    pipeline = cfg.pipeline;
-    chunk = max 1 cfg.pipeline_chunk;
+    dial_kind = cfg.dial_kind;
     shut_down = false;
     delay_ms = 0.;
   }
 
-let create ?seed ?(dial_kind = Dialing.Plain) ?(jobs = 1) ?fault_plan ?tap
-    ?telemetry ~n_servers ~noise ~dial_noise ~noise_mode () =
-  of_config
-    {
-      Config.default with
-      seed;
-      n_servers;
-      noise;
-      dial_noise;
-      noise_mode;
-      dial_kind;
-      jobs;
-      fault_plan;
-      tap;
-      telemetry;
-    }
-
-let length t = Array.length t.servers
-let server t i = t.servers.(i)
-let last t = t.servers.(length t - 1)
+let length t = Array.length t.relays
+let server t i = Relay.server t.relays.(i)
+let last t = server t (length t - 1)
 let jobs t = match t.pool with Some p -> Pool.jobs p | None -> 1
-let pipelined t = t.pipeline
-let pipeline_chunk t = t.chunk
 
 let shutdown t =
   t.shut_down <- true;
@@ -113,551 +92,120 @@ let pending_faults t =
 
 (* Public keys in chain order — what clients onion-wrap against. *)
 let public_keys t =
-  Array.to_list (Array.map Server.public_key t.servers)
-
-(* Every batch that crosses a link is routed through the Rpc codec, so
-   the in-process chain exchanges exactly the bytes a networked
-   deployment would (framing, versioning, fixed item sizes).  A batch
-   the codec rejects becomes a typed [Rpc.status] error — itself pushed
-   through the codec, since a real deployment would send the failure as
-   a frame too. *)
-let status_frame st =
-  match Rpc.decode (Rpc.encode (Rpc.Status st)) with
-  | Ok (Rpc.Status st) -> st
-  | Ok _ | Error _ -> assert false (* the codec round-trips its own frames *)
-
-let through ~round ~server ~stage codec_encode codec_decode payload =
-  match codec_decode (codec_encode payload) with
-  | Ok v -> Ok v
-  | Error detail ->
-      Error (status_frame { Rpc.round; server; stage; detail })
-
-let ( let* ) = Result.bind
+  List.init (length t) (fun i -> Server.public_key (server t i))
 
 (* ------------------------------------------------------------------ *)
-(* Fault injection at forward links                                    *)
+(* In-memory links                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A forward batch crossing the link into [server]: fire the faults
-   scheduled for this (round, server) site, then frame, then decode at
-   the receiver.  Control faults (crash/drop) abort with a typed status;
-   [Delay_ms] accumulates virtual stall time for the supervisor's
-   deadline check; [Tamper_slot] flips a byte of one onion (the §2.1
-   active adversary — framing survives, authentication at the receiver
-   does not). *)
-(* Short tag for a fault kind — the metric label and span annotation. *)
-let fault_tag = function
-  | Fault.Crash -> "crash"
-  | Fault.Drop_link -> "drop-link"
-  | Fault.Delay_ms _ -> "delay"
-  | Fault.Tamper_slot _ -> "tamper-slot"
-  | Fault.Corrupt_frame _ -> "corrupt-frame"
-  | Fault.Truncate_frame _ -> "truncate-frame"
-  | Fault.Extend_frame _ -> "extend-frame"
-  | Fault.Slow_link _ -> "slow-link"
-  | Fault.Flap _ -> "flap"
-  | Fault.Partition _ -> "partition"
+(* A queued frame: the relay it is for, and which peer sent it. *)
+type arrival = From_upstream | From_downstream
 
-(* Every fired fault becomes a counter sample and a span annotation on
-   the innermost open span (the round's root span when firing between
-   stages); [Delay_ms] additionally feeds its own counter so the virtual
-   stall is visible separately from wall-clock timings (which exclude
-   it). *)
-let record_faults t ~server kinds =
-  match (t.tel, kinds) with
-  | None, _ | _, [] -> ()
-  | Some _, kinds ->
-      List.iter
-        (fun k ->
-          let tag = fault_tag k in
-          Telemetry.add_counter t.tel
-            ~labels:[ ("kind", tag) ]
-            "vuvuzela_faults_injected_total";
-          Telemetry.annotate t.tel
-            (Printf.sprintf "fault.%s" tag)
-            (Printf.sprintf "server=%d" server);
-          match k with
-          | Fault.Delay_ms ms ->
-              Telemetry.add_counter t.tel ~by:(float_of_int ms)
-                "vuvuzela_injected_delay_ms_total"
-          | Fault.Slow_link ms | Fault.Flap ms | Fault.Partition ms ->
-              (* Churn kinds are link stalls: count the event and the
-                 stall time so degraded rounds are observable. *)
-              Telemetry.add_counter t.tel
-                ~labels:[ ("kind", tag) ]
-                "vuvuzela_link_stalls_total";
-              Telemetry.add_counter t.tel ~by:(float_of_int ms)
-                "vuvuzela_injected_delay_ms_total"
-          | _ -> ())
-        kinds
-
-(* The fault/tap prelude of a link crossing, shared by the lockstep and
-   pipelined relays: faults fire once per (round, server) site against
-   the WHOLE logical batch — a crash kills the entire batch, a
-   [Tamper_slot] indexes into the full batch, and the tap observes the
-   batch exactly once — so fault semantics are identical in both relay
-   modes by construction.  Returns the (possibly tampered) batch plus
-   any frame-level faults left to apply at the framing stage. *)
-let apply_link_faults t ~round ~server ~stage (batch : bytes array) =
-  let kinds =
-    match t.faults with
-    | None -> []
-    | Some inj -> Fault.fire inj ~round ~server
+(* Deliver queued frames until the links are quiet.  Every frame is
+   encoded and decoded on its way, so the relays receive exactly the
+   bytes a networked deployment would.  Stall effects become virtual
+   round time; a lost batch becomes the typed status its relay reports
+   upstream.  What leaves server 0 upstream goes to [reply]. *)
+let pump t queue ~reply =
+  let rec loop () =
+    match Queue.take_opt queue with
+    | None -> ()
+    | Some (i, arrival, msg) ->
+        let raw = Rpc.encode msg in
+        let msg =
+          match Rpc.decode raw with
+          | Ok msg -> msg
+          | Error _ -> assert false (* the codec round-trips its own frames *)
+        in
+        let out =
+          match arrival with
+          | From_upstream -> Relay.upstream t.relays.(i) ~raw msg
+          | From_downstream -> Relay.downstream t.relays.(i) msg
+        in
+        t.delay_ms <- t.delay_ms +. float_of_int out.Relay.stall_ms;
+        let up =
+          match out.Relay.lost with
+          | Some st -> out.Relay.up @ [ Rpc.Status st ]
+          | None -> out.Relay.up
+        in
+        List.iter
+          (fun m ->
+            if i = 0 then reply m
+            else Queue.push (i - 1, From_downstream, m) queue)
+          up;
+        List.iter
+          (fun m -> Queue.push (i + 1, From_upstream, m) queue)
+          out.Relay.down;
+        loop ()
   in
-  record_faults t ~server kinds;
-  let batch = ref batch in
-  let frame_faults = ref [] in
-  let fatal = ref None in
-  List.iter
-    (fun k ->
-      if !fatal = None then
-        match k with
-        | Fault.Crash -> fatal := Some "server crashed (injected fault)"
-        | Fault.Drop_link -> fatal := Some "link dropped (injected fault)"
-        | Fault.Delay_ms ms -> t.delay_ms <- t.delay_ms +. float_of_int ms
-        | Fault.Slow_link ms ->
-            (* Congested link: the batch arrives intact, late. *)
-            t.delay_ms <- t.delay_ms +. float_of_int ms
-        | Fault.Flap ms ->
-            (* A reset that heals: the in-process link has no socket to
-               reset, so only the outage's stall is observable. *)
-            t.delay_ms <- t.delay_ms +. float_of_int ms
-        | Fault.Partition ms ->
-            (* A cut link: the batch is lost and the heal takes [ms]. *)
-            t.delay_ms <- t.delay_ms +. float_of_int ms;
-            fatal := Some "link partitioned (injected fault)"
-        | Fault.Tamper_slot s -> batch := Fault.apply_tamper !batch s
-        | (Fault.Corrupt_frame _ | Fault.Truncate_frame _ | Fault.Extend_frame _)
-          as k -> frame_faults := k :: !frame_faults)
-    kinds;
-  match !fatal with
-  | Some detail -> Error (status_frame { Rpc.round; server; stage; detail })
-  | None ->
-      let batch = !batch in
-      Option.iter (fun tap -> tap ~round ~server batch) t.tap;
-      Ok (batch, List.rev !frame_faults)
+  loop ()
 
-let forward_send t ~round ~server ~stage encode decode (batch : bytes array) =
-  let* batch, frame_faults =
-    apply_link_faults t ~round ~server ~stage batch
-  in
-  let frame = List.fold_left Fault.apply_frame (encode batch) frame_faults in
-  match decode frame with
-  | Ok v -> Ok v
-  | Error detail -> Error (status_frame { Rpc.round; server; stage; detail })
-
-(* The pipelined relay for one link: split the batch into ≤[chunk]-sized
-   parts, push each through the part codec, and feed the decoded onions
-   straight into the receiver's stream.  Frame-level faults corrupt the
-   first part's frame (the lockstep relay corrupts its single frame, so
-   "the frame on this link is damaged" maps to "the first part frame is
-   damaged"). *)
-let forward_send_parts t ~round ~server ~stage encode_part decode_part feed
-    (batch : bytes array) =
-  let* batch, frame_faults =
-    apply_link_faults t ~round ~server ~stage batch
-  in
-  let parts = Rpc.split_parts ~chunk:t.chunk batch in
-  let n_parts = Array.length parts in
-  let rec loop seq =
-    if seq >= n_parts then Ok ()
-    else begin
-      let frame = encode_part ~seq ~last:(seq = n_parts - 1) parts.(seq) in
-      let frame =
-        if seq = 0 then List.fold_left Fault.apply_frame frame frame_faults
-        else frame
-      in
-      match decode_part frame with
-      | Ok onions ->
-          feed onions;
-          loop (seq + 1)
-      | Error detail ->
-          Error (status_frame { Rpc.round; server; stage; detail })
-    end
-  in
-  loop 0
-
-let send_conv_batch t ~round ~server onions =
-  forward_send t ~round ~server ~stage:"conv-batch"
-    (fun o -> Rpc.encode (Rpc.Conv_batch { round; onions = o }))
-    (fun b ->
-      match Rpc.decode b with
-      | Ok (Rpc.Conv_batch { onions; _ }) -> Ok onions
-      | Ok _ -> Error "unexpected message"
-      | Error e -> Error e)
-    onions
-
-let send_conv_results ~round ~server replies =
-  through ~round ~server ~stage:"conv-results"
-    (fun r -> Rpc.encode (Rpc.Conv_results { round; replies = r }))
-    (fun b ->
-      match Rpc.decode b with
-      | Ok (Rpc.Conv_results { replies; _ }) -> Ok replies
-      | Ok _ -> Error "unexpected message"
-      | Error e -> Error e)
-    replies
-
-let send_dial_results ~round ~server replies =
-  through ~round ~server ~stage:"dial-results"
-    (fun r -> Rpc.encode (Rpc.Dial_results { round; replies = r }))
-    (fun b ->
-      match Rpc.decode b with
-      | Ok (Rpc.Dial_results { replies; _ }) -> Ok replies
-      | Ok _ -> Error "unexpected message"
-      | Error e -> Error e)
-    replies
-
-let send_dial_batch t ~round ~m ~server onions =
-  forward_send t ~round ~server ~stage:"dial-batch"
-    (fun o -> Rpc.encode (Rpc.Dial_batch { round; m; onions = o }))
-    (fun b ->
-      match Rpc.decode b with
-      | Ok (Rpc.Dial_batch { onions; _ }) -> Ok onions
-      | Ok _ -> Error "unexpected message"
-      | Error e -> Error e)
-    onions
-
-(* Entry-server ingress policy: the framed batches require uniform item
-   sizes, so a wrong-sized client request is replaced with random bytes
-   of the correct size.  Its slot (and reply) survive; the garbage fails
-   authentication at the first server and earns a dummy reply. *)
-let normalize ~expected requests =
-  Array.map
-    (fun r ->
-      if Bytes.length r = expected then r
-      else Vuvuzela_crypto.Drbg.bytes expected)
-    requests
-
-(* The conversation descent from server [i] down: forward through each
-   mixing server, exchange at the last, results back up.  Shared by the
-   materializing round (which starts at server 0) and the streamed-entry
-   round (which hand-feeds server 0 and descends from server 1). *)
-let rec conv_go t ~round i batch =
-  let n = length t in
-  let srv = t.servers.(i) in
-  let* peeled =
-    if t.pipeline then begin
-      (* Streamed relay: the batch crosses the link as ordered
-         [Conv_batch_part] frames and the receiver peels each part
-         as it lands — the same code path a pipelined TCP
-         deployment runs, so its determinism is tested here. *)
-      let stream = Server.conv_stream srv ~round in
-      let* () =
-        forward_send_parts t ~round ~server:i ~stage:"conv-batch"
-          (fun ~seq ~last onions ->
-            Rpc.encode (Rpc.Conv_batch_part { round; seq; last; onions }))
-          (fun b ->
-            match Rpc.decode b with
-            | Ok (Rpc.Conv_batch_part { onions; _ }) -> Ok onions
-            | Ok _ -> Error "unexpected message"
-            | Error e -> Error e)
-          (fun onions -> Server.stream_feed srv stream onions)
-          batch
-      in
-      Ok (`Stream stream)
-    end
-    else
-      let* batch = send_conv_batch t ~round ~server:i batch in
-      Ok (`Batch batch)
-  in
-  if i = n - 1 then
-    Ok
-      (match peeled with
-      | `Stream stream -> Server.conv_finish_exchange srv stream
-      | `Batch batch -> Server.conv_exchange srv ~round batch)
-  else begin
-    let forwarded =
-      match peeled with
-      | `Stream stream -> Server.conv_finish_forward srv stream
-      | `Batch batch -> Server.conv_forward srv ~round batch
-    in
-    let* below = conv_go t ~round (i + 1) forwarded in
-    let* results = send_conv_results ~round ~server:i below in
-    Ok (Server.conv_backward srv ~round results)
-  end
-
-(* One conversation round: forward through each mixing server, exchange
-   at the last, then backward.  [requests] are the clients' onions in
-   slot order; the result array is aligned with it. *)
-let conversation_round t ~round requests =
-  if t.shut_down then Error (status_frame (Rpc.chain_shutdown ~round))
+(* One round: the entry streams the producer's chunks into server 0 as
+   part frames, each delivered as soon as it is sent, and the first
+   results or status for [round] that reaches the entry is the
+   outcome. *)
+let round_trip t ~round ?m ~produce () =
+  if t.shut_down then Error (Rpc.chain_shutdown ~round)
   else begin
     t.delay_ms <- 0.;
-    let n = length t in
-    let requests =
-      normalize
-        ~expected:
-          (Vuvuzela_mixnet.Onion.request_size ~chain_len:n
-             ~payload_len:Types.exchange_payload_len)
-        requests
+    let dialing = m <> None in
+    let outcome = ref None in
+    let reply msg =
+      if !outcome = None then
+        match msg with
+        | ( Rpc.Conv_results { round = r; replies }
+          | Rpc.Dial_results { round = r; replies } )
+          when r = round ->
+            outcome := Some (Ok replies)
+        | Rpc.Status st when st.Rpc.round = round -> outcome := Some (Error st)
+        | _ -> ()
     in
-    Telemetry.span t.tel ~name:"conv-round" ~round (fun () ->
-        conv_go t ~round 0 requests)
+    let queue = Queue.create () in
+    Telemetry.span t.tel
+      ~name:(if dialing then "dial-round" else "conv-round")
+      ~round ~dialing
+      (fun () ->
+        Relay.entry ~chain_len:(length t) ~dial_kind:t.dial_kind ?m ~round
+          ~produce (fun msg ->
+            Queue.push (0, From_upstream, msg) queue;
+            pump t queue ~reply);
+        match !outcome with
+        | Some outcome -> outcome
+        | None ->
+            Error (Rpc.transport_error ~round ~server:0 ~detail:"no reply"))
   end
 
-(* The dialing descent from server [i] down (see [conv_go]). *)
-let rec dial_go t ~round ~m i batch =
-  let n = length t in
-  let srv = t.servers.(i) in
-  let* peeled =
-    if t.pipeline then begin
-      let stream = Server.dial_stream srv ~round in
-      let* () =
-        forward_send_parts t ~round ~server:i ~stage:"dial-batch"
-          (fun ~seq ~last onions ->
-            Rpc.encode (Rpc.Dial_batch_part { round; m; seq; last; onions }))
-          (fun b ->
-            match Rpc.decode b with
-            | Ok (Rpc.Dial_batch_part { onions; _ }) -> Ok onions
-            | Ok _ -> Error "unexpected message"
-            | Error e -> Error e)
-          (fun onions -> Server.stream_feed srv stream onions)
-          batch
-      in
-      Ok (`Stream stream)
-    end
-    else
-      let* batch = send_dial_batch t ~round ~m ~server:i batch in
-      Ok (`Batch batch)
-  in
-  if i = n - 1 then
-    Ok
-      (match peeled with
-      | `Stream stream -> Server.dial_finish_deliver srv stream ~m
-      | `Batch batch -> Server.dial_deliver srv ~round ~m batch)
-  else begin
-    let forwarded =
-      match peeled with
-      | `Stream stream -> Server.dial_finish_forward srv stream ~m
-      | `Batch batch -> Server.dial_forward srv ~round ~m batch
-    in
-    let* below = dial_go t ~round ~m (i + 1) forwarded in
-    let* results = send_dial_results ~round ~server:i below in
-    Ok (Server.dial_backward srv ~round results)
-  end
-
-(* One dialing round with [m] invitation drops. *)
-let dialing_round t ~round ~m requests =
-  if t.shut_down then Error (status_frame (Rpc.chain_shutdown ~round))
-  else begin
-    t.delay_ms <- 0.;
-    let n = length t in
-    let requests =
-      normalize
-        ~expected:
-          (Vuvuzela_mixnet.Onion.request_size ~chain_len:n
-             ~payload_len:(Dialing.payload_len (Server.dial_kind t.servers.(0))))
-        requests
-    in
-    Telemetry.span t.tel ~name:"dial-round" ~round ~dialing:true (fun () ->
-        dial_go t ~round ~m 0 requests)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Streamed-entry rounds (scale plane)                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The streamed-entry ingress into server 0: the producer pushes the
-   batch in slot-ordered chunks (the streaming [Entry] collector's
-   sink), each crossing the link as a [*_batch_part] frame, so neither
-   the entry tier nor server 0 ever holds the whole onion batch.
-
-   Fault semantics stay lockstep-equivalent, mirroring the daemon's
-   part-stream ingress: the (round, server 0) site fires once before
-   the first chunk against the logical batch — crash/drop kill the
-   whole round, frame faults damage the first part's frame, and
-   [Tamper_slot] is applied to whichever chunk carries its absolute
-   slot.  The tap observes each chunk as it crosses the link (same
-   bytes in the same order as the lockstep tap, just chunked). *)
-type entry_ingress = {
-  mutable in_off : int;  (** onions fed so far = absolute slot offset *)
-  mutable in_seq : int;
-  mutable in_tampers : int list;  (** absolute slots not yet applied *)
-  mutable in_err : Rpc.status option;
-}
-
-let stream_entry_prelude t ~round ~stage =
-  let kinds =
-    match t.faults with
-    | None -> []
-    | Some inj -> Fault.fire inj ~round ~server:0
-  in
-  record_faults t ~server:0 kinds;
-  let fatal = ref None in
-  let tampers = ref [] in
-  let frame_faults = ref [] in
-  List.iter
-    (fun k ->
-      if !fatal = None then
-        match k with
-        | Fault.Crash -> fatal := Some "server crashed (injected fault)"
-        | Fault.Drop_link -> fatal := Some "link dropped (injected fault)"
-        | Fault.Delay_ms ms | Fault.Slow_link ms | Fault.Flap ms ->
-            t.delay_ms <- t.delay_ms +. float_of_int ms
-        | Fault.Partition ms ->
-            t.delay_ms <- t.delay_ms +. float_of_int ms;
-            fatal := Some "link partitioned (injected fault)"
-        | Fault.Tamper_slot s -> tampers := s :: !tampers
-        | (Fault.Corrupt_frame _ | Fault.Truncate_frame _ | Fault.Extend_frame _)
-          as k -> frame_faults := k :: !frame_faults)
-    kinds;
-  match !fatal with
-  | Some detail -> Error (status_frame { Rpc.round; server = 0; stage; detail })
-  | None -> Ok (List.rev !tampers, List.rev !frame_faults)
-
-(* Feed one producer chunk through the part codec into server 0's
-   stream, applying any pending absolute-slot tampers and (on the first
-   part) the frame faults. *)
-let stream_entry_feed t ~round ~stage ~expected ~encode_part ~decode_part
-    ~frame_faults ingress feed_server chunk =
-  if ingress.in_err = None then begin
-    let onions = normalize ~expected chunk in
-    let len = Array.length onions in
-    let onions =
-      List.fold_left
-        (fun o s ->
-          if s >= ingress.in_off && s < ingress.in_off + len then
-            Fault.apply_tamper o (s - ingress.in_off)
-          else o)
-        onions ingress.in_tampers
-    in
-    ingress.in_tampers <-
-      List.filter (fun s -> s >= ingress.in_off + len) ingress.in_tampers;
-    Option.iter (fun tap -> tap ~round ~server:0 onions) t.tap;
-    let frame = encode_part ~seq:ingress.in_seq onions in
-    let frame =
-      if ingress.in_seq = 0 then
-        List.fold_left Fault.apply_frame frame frame_faults
-      else frame
-    in
-    match decode_part frame with
-    | Ok onions ->
-        feed_server onions;
-        ingress.in_off <- ingress.in_off + len;
-        ingress.in_seq <- ingress.in_seq + 1
-    | Error detail ->
-        ingress.in_err <-
-          Some (status_frame { Rpc.round; server = 0; stage; detail })
-  end
-
-(* A conversation round whose entry batch arrives as a stream:
-   [produce feed] must call [feed chunk] with slot-ordered chunks (the
-   streaming [Entry] collector does exactly this) and return once the
-   round's intake is complete.  Decoded onions, and therefore results,
-   are bit-identical to [conversation_round] on the concatenation of
-   the chunks. *)
 let conversation_round_streamed t ~round ~produce =
-  if t.shut_down then Error (status_frame (Rpc.chain_shutdown ~round))
-  else begin
-    t.delay_ms <- 0.;
-    let n = length t in
-    let stage = "conv-batch" in
-    let expected =
-      Vuvuzela_mixnet.Onion.request_size ~chain_len:n
-        ~payload_len:Types.exchange_payload_len
-    in
-    Telemetry.span t.tel ~name:"conv-round" ~round (fun () ->
-        let srv0 = t.servers.(0) in
-        let* tampers, frame_faults = stream_entry_prelude t ~round ~stage in
-        let stream = Server.conv_stream srv0 ~round in
-        let ingress =
-          { in_off = 0; in_seq = 0; in_tampers = tampers; in_err = None }
-        in
-        produce
-          (stream_entry_feed t ~round ~stage ~expected
-             ~encode_part:(fun ~seq onions ->
-               Rpc.encode (Rpc.Conv_batch_part { round; seq; last = false; onions }))
-             ~decode_part:(fun b ->
-               match Rpc.decode b with
-               | Ok (Rpc.Conv_batch_part { onions; _ }) -> Ok onions
-               | Ok _ -> Error "unexpected message"
-               | Error e -> Error e)
-             ~frame_faults ingress
-             (fun onions -> Server.stream_feed srv0 stream onions));
-        match ingress.in_err with
-        | Some st -> Error st
-        | None ->
-            if n = 1 then Ok (Server.conv_finish_exchange srv0 stream)
-            else begin
-              let forwarded = Server.conv_finish_forward srv0 stream in
-              let* below = conv_go t ~round 1 forwarded in
-              let* results = send_conv_results ~round ~server:0 below in
-              Ok (Server.conv_backward srv0 ~round results)
-            end)
-  end
+  round_trip t ~round ~produce ()
 
-(* Streamed-entry dialing round (see [conversation_round_streamed]). *)
 let dialing_round_streamed t ~round ~m ~produce =
-  if t.shut_down then Error (status_frame (Rpc.chain_shutdown ~round))
-  else begin
-    t.delay_ms <- 0.;
-    let n = length t in
-    let stage = "dial-batch" in
-    let expected =
-      Vuvuzela_mixnet.Onion.request_size ~chain_len:n
-        ~payload_len:(Dialing.payload_len (Server.dial_kind t.servers.(0)))
-    in
-    Telemetry.span t.tel ~name:"dial-round" ~round ~dialing:true (fun () ->
-        let srv0 = t.servers.(0) in
-        let* tampers, frame_faults = stream_entry_prelude t ~round ~stage in
-        let stream = Server.dial_stream srv0 ~round in
-        let ingress =
-          { in_off = 0; in_seq = 0; in_tampers = tampers; in_err = None }
-        in
-        produce
-          (stream_entry_feed t ~round ~stage ~expected
-             ~encode_part:(fun ~seq onions ->
-               Rpc.encode
-                 (Rpc.Dial_batch_part { round; m; seq; last = false; onions }))
-             ~decode_part:(fun b ->
-               match Rpc.decode b with
-               | Ok (Rpc.Dial_batch_part { onions; _ }) -> Ok onions
-               | Ok _ -> Error "unexpected message"
-               | Error e -> Error e)
-             ~frame_faults ingress
-             (fun onions -> Server.stream_feed srv0 stream onions));
-        match ingress.in_err with
-        | Some st -> Error st
-        | None ->
-            if n = 1 then Ok (Server.dial_finish_deliver srv0 stream ~m)
-            else begin
-              let forwarded = Server.dial_finish_forward srv0 stream ~m in
-              let* below = dial_go t ~round ~m 1 forwarded in
-              let* results = send_dial_results ~round ~server:0 below in
-              Ok (Server.dial_backward srv0 ~round results)
-            end)
-  end
+  round_trip t ~round ~m ~produce ()
 
-(* Convenience for callers (benchmarks, attack harnesses) that treat a
-   framing failure as fatal. *)
-let fail_status st = failwith (Format.asprintf "Chain: %a" Rpc.pp_status st)
+(* Convenience for callers (benchmarks, tests, attack harnesses) that
+   hold the whole batch and treat a failed round as fatal. *)
+let or_fail = function
+  | Ok replies -> replies
+  | Error st -> failwith (Format.asprintf "Chain: %a" Rpc.pp_status st)
 
 let conversation_round_exn t ~round requests =
-  match conversation_round t ~round requests with
-  | Ok replies -> replies
-  | Error st -> fail_status st
+  or_fail (round_trip t ~round ~produce:(fun feed -> feed requests) ())
 
 let dialing_round_exn t ~round ~m requests =
-  match dialing_round t ~round ~m requests with
-  | Ok replies -> replies
-  | Error st -> fail_status st
+  or_fail (round_trip t ~round ~m ~produce:(fun feed -> feed requests) ())
 
+(* Clients download invitation drops straight from the last server
+   (§5.5: fetches need no mixing). *)
 let fetch_invitations ?dial_round t ~index =
   Server.fetch_invitations ?dial_round (last t) ~index
 
-(* ------------------------------------------------------------------ *)
-(* Round aborts                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Discard a failed round's state on every server so the supervisor's
-   retry (under a fresh round number) starts from a clean slate and each
-   server redraws its noise for the new attempt. *)
-
-let abort_round t ~round =
-  Array.iter (fun s -> Server.abort_conv_round s ~round) t.servers
-
-let abort_dialing_round t ~round =
-  Array.iter (fun s -> Server.abort_dial_round s ~round) t.servers
+(* Discard a failed round's state on every server — an [Abort] frame
+   forwarded hop to hop — so the supervisor's retry (under a fresh round
+   number) starts from a clean slate and each server redraws its noise
+   for the new attempt. *)
+let abort t ~round ~dialing =
+  let queue = Queue.create () in
+  Queue.push (0, From_upstream, Rpc.Abort { round; dialing }) queue;
+  pump t queue ~reply:ignore
 
 (* §5.4: "The first server then informs clients of the value of m for a
    given dialing round" — surfaced here for the coordinator. *)

@@ -1,4 +1,6 @@
-(** The chain of Vuvuzela servers and in-process round orchestration. *)
+(** The chain of Vuvuzela servers and in-process round orchestration:
+    one {!Relay} per server, joined by in-memory links that push every
+    frame through the {!Rpc} codec — the TCP chain without sockets. *)
 
 type t
 
@@ -6,17 +8,18 @@ val of_config : Config.t -> t
 (** Build a chain from a {!Config.t}.  With [seed] the whole deployment
     (keys, noise, shuffles) is deterministic, for tests.  [jobs] sets
     the domain count for the per-onion crypto; the servers share one
-    pool.  [pipeline] relays forward batches between servers as streamed
-    [*_batch_part] frames of [pipeline_chunk] onions each, the same code
-    path a pipelined TCP deployment runs.  Round results are
-    bit-identical at any job count, pipelined or lockstep.
+    pool.  [pipeline] sets the forward part size between servers
+    ([pipeline_chunk] onions per part; otherwise the whole batch is one
+    part).  Round results are bit-identical at any job count and any
+    part size.
 
-    [fault_plan] arms deterministic fault injection at the forward link
-    boundaries (each fault fires once at its (round, server) site,
-    against the whole logical batch — identically in both relay modes).
-    [tap] observes every forward batch exactly as it crosses a link —
-    after any [Tamper_slot] fault, before framing — so tests can assert
-    wire-level invariants such as "no onion ciphertext crosses twice".
+    [fault_plan] arms deterministic fault injection at the relays'
+    incoming links (each fault fires once at its (round, server) site,
+    at the round's part 0, against the whole logical batch); a stall
+    adds to {!last_round_delay_ms} and a lost batch becomes a typed
+    status.  [tap] observes every ingress part exactly as the receiving
+    server gets it — after any fault — so tests can assert wire-level
+    invariants such as "no onion ciphertext crosses twice".
 
     [telemetry] (default: the nil sink) is shared with every server: each
     round gets a root span ([conv-round] / [dial-round]) with the
@@ -27,32 +30,8 @@ val of_config : Config.t -> t
     RNG — rounds are bit-identical with telemetry on or off.
     @raise Invalid_argument on [n_servers < 1] or [jobs < 1]. *)
 
-val create :
-  ?seed:string ->
-  ?dial_kind:Dialing.kind ->
-  ?jobs:int ->
-  ?fault_plan:Vuvuzela_faults.Fault.plan ->
-  ?tap:(round:int -> server:int -> bytes array -> unit) ->
-  ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
-  n_servers:int ->
-  noise:Vuvuzela_dp.Laplace.params ->
-  dial_noise:Vuvuzela_dp.Laplace.params ->
-  noise_mode:Vuvuzela_dp.Noise.mode ->
-  unit ->
-  t
-[@@ocaml.deprecated "use Chain.of_config with a Config.t"]
-(** @deprecated The keyword-argument constructor; equivalent to
-    {!of_config} on {!Config.default} with the given fields. *)
-
-val pipelined : t -> bool
-(** Whether forward batches are relayed as streamed parts. *)
-
-val pipeline_chunk : t -> int
-(** Onions per streamed part (meaningful when {!pipelined}). *)
-
 val length : t -> int
 val server : t -> int -> Server.t
-val last : t -> Server.t
 
 val jobs : t -> int
 (** The chain's configured degree of parallelism. *)
@@ -66,10 +45,11 @@ val shutdown : t -> unit
 val is_shut_down : t -> bool
 
 val last_round_delay_ms : t -> float
-(** Virtual link stall accumulated by [Delay_ms] faults during the most
-    recent round (0 when no delay fault fired).  The supervisor adds
-    this to the measured wall-clock time before its deadline check, so
-    deadline misses are deterministic under a fixed seed. *)
+(** Virtual link stall accumulated by [Delay_ms] (and the other stall)
+    faults during the most recent round (0 when none fired).  The
+    supervisor adds this to the measured wall-clock time before its
+    deadline check, so deadline misses are deterministic under a fixed
+    seed. *)
 
 val pending_faults : t -> int
 (** Scheduled faults that have not fired yet (0 without a fault plan). *)
@@ -77,27 +57,18 @@ val pending_faults : t -> int
 val public_keys : t -> bytes list
 (** In chain order; clients wrap onions against these. *)
 
-val conversation_round :
-  t -> round:int -> bytes array -> (bytes array, Rpc.status) result
-(** Run a complete conversation round; the result array is slot-aligned
-    with [requests].  [Error] carries the typed status frame of the
-    first link whose batch failed to decode. *)
-
-val dialing_round :
-  t -> round:int -> m:int -> bytes array -> (bytes array, Rpc.status) result
-
 val conversation_round_streamed :
   t ->
   round:int ->
   produce:((bytes array -> unit) -> unit) ->
   (bytes array, Rpc.status) result
-(** Streamed-entry conversation round: [produce feed] pushes the batch
+(** Run a complete conversation round: [produce feed] pushes the batch
     as slot-ordered chunks (a streaming {!Entry} collector's sink) and
-    returns when the intake is complete; server 0 peels each chunk as
-    it lands, so no tier materializes the whole onion batch.  Results
-    are bit-identical to {!conversation_round} on the chunk
-    concatenation; faults for the entry link keep lockstep semantics
-    (fire once against the logical batch, absolute tamper slots). *)
+    returns when the intake is complete.  Each chunk enters server 0 as
+    one part frame and is peeled as it lands.  The result array is
+    slot-aligned with the chunk concatenation, bit-identically at any
+    chunking.  [Error] carries the typed status of the first hop that
+    failed. *)
 
 val dialing_round_streamed :
   t ->
@@ -107,21 +78,21 @@ val dialing_round_streamed :
   (bytes array, Rpc.status) result
 
 val conversation_round_exn : t -> round:int -> bytes array -> bytes array
-(** [conversation_round], raising [Failure] on a status frame. *)
+(** A round whose whole batch is one chunk, raising [Failure] on a
+    status. *)
 
 val dialing_round_exn : t -> round:int -> m:int -> bytes array -> bytes array
 
 val fetch_invitations : ?dial_round:int -> t -> index:int -> bytes list
-(** Defaults to the most recent dialing round's store; [?dial_round]
-    reaches any round inside the last server's retention window. *)
+(** Straight from the last server.  Defaults to the most recent dialing
+    round's store; [?dial_round] reaches any round inside the last
+    server's retention window. *)
 
-val abort_round : t -> round:int -> unit
-(** Discard a failed conversation round's state on every server, so the
-    supervisor's retry (under a fresh round number, with freshly drawn
-    noise) starts clean. *)
-
-val abort_dialing_round : t -> round:int -> unit
-(** Same for a dialing round; also discards its invitation store. *)
+val abort : t -> round:int -> dialing:bool -> unit
+(** Discard a failed round's state on every server (an [Abort] frame
+    forwarded hop to hop), so the supervisor's retry (under a fresh
+    round number, with freshly drawn noise) starts clean.  A dialing
+    abort also discards the round's invitation store. *)
 
 val proposed_m : t -> int
 (** The last server's recommended invitation-drop count (§5.4). *)

@@ -1,6 +1,4 @@
-(* Deployment configuration; see the interface.  One record replaces
-   the optional-argument sprawl that accreted on [Chain.create],
-   [Network.create] and [Network.create_tcp]. *)
+(* Deployment configuration; see the interface. *)
 
 type t = {
   seed : string option;
@@ -13,7 +11,6 @@ type t = {
   pipeline : bool;
   pipeline_chunk : int;
   deaddrop_shards : int;
-  entry_streaming : bool;
   cdn_edges : int;
   cdn_bloom_fp : float option;
   fault_plan : Vuvuzela_faults.Fault.plan option;
@@ -43,7 +40,6 @@ let default =
     pipeline = false;
     pipeline_chunk = 16;
     deaddrop_shards = 1;
-    entry_streaming = false;
     cdn_edges = 0;
     cdn_bloom_fp = None;
     fault_plan = None;
@@ -71,7 +67,6 @@ let with_jobs jobs t = { t with jobs }
 let with_pipeline ?(chunk = default.pipeline_chunk) pipeline t =
   { t with pipeline; pipeline_chunk = max 1 chunk }
 let with_deaddrop_shards shards t = { t with deaddrop_shards = max 1 shards }
-let with_entry_streaming entry_streaming t = { t with entry_streaming }
 let with_cdn_edges cdn_edges t = { t with cdn_edges }
 let with_cdn_bloom_fp fp t = { t with cdn_bloom_fp = Some fp }
 let with_fault_plan plan t = { t with fault_plan = Some plan }

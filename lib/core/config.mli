@@ -4,12 +4,8 @@
     Build one with {!default} and the [with_*] helpers:
     {[
       Config.(default |> with_seed "demo" |> with_jobs 4
-              |> with_pipeline true)
-    ]}
-
-    The legacy keyword-argument constructors ([Chain.create],
-    [Network.create], [Network.create_tcp]) survive one release as
-    deprecated wrappers over this record. *)
+              |> with_pipeline ~chunk:64 true)
+    ]} *)
 
 type t = {
   seed : string option;
@@ -22,20 +18,17 @@ type t = {
   dial_kind : Dialing.kind;
   jobs : int;  (** domains for the per-onion crypto; [1] = sequential *)
   pipeline : bool;
-      (** stream forward batches between servers as chunked
-          [*_batch_part] frames so a receiver peels while the rest of
-          the batch is still in flight; results are bit-identical to
-          lockstep *)
-  pipeline_chunk : int;  (** onions per streamed part (≥ 1) *)
+      (** the part size: [true] sends every batch — entry → server 0
+          and server → server — as parts of [pipeline_chunk] onions, so
+          a receiver peels while the rest of the batch is still in
+          flight and the entry tier never holds more than a chunk;
+          [false] sends each batch as one part.  Results are
+          bit-identical either way *)
+  pipeline_chunk : int;  (** onions per part when pipelined (≥ 1) *)
   deaddrop_shards : int;
       (** conversation dead-drop store shards (≥ 1): drops are routed
           by id prefix and [exchange] pair-matches per shard over the
           domain pool; results are bit-identical for any count *)
-  entry_streaming : bool;
-      (** stream client onions through the entry tier in
-          [pipeline_chunk]-sized chunks instead of materializing the
-          whole batch — peak buffered onions are bounded by the chunk
-          size, not the population; transcripts are bit-identical *)
   cdn_edges : int;  (** §5.5 invitation-drop distribution; [0] = none *)
   cdn_bloom_fp : float option;
       (** stable-bloom invitation prefilter at the CDN edges: clients
@@ -44,8 +37,7 @@ type t = {
           false negative); [None] keeps the exact-index fetch *)
   fault_plan : Vuvuzela_faults.Fault.plan option;
   tap : (round:int -> server:int -> bytes array -> unit) option;
-      (** observes every forward batch as it crosses a link
-          (post-tamper, pre-framing) *)
+      (** observes every part a server receives, after faults *)
   telemetry : Vuvuzela_telemetry.Telemetry.t option;
   budget_warn : float option;  (** ledger cumulative-ε′ warning threshold *)
   round_deadline_ms : float option;
@@ -81,7 +73,7 @@ type t = {
 
 val default : t
 (** Test-sized defaults: 3 servers, tiny sampled noise, sequential,
-    lockstep relay, no faults, no telemetry, 2 retries. *)
+    one part per batch, no faults, no telemetry, 2 retries. *)
 
 (** Functional updates, pipeline-friendly (value first, record last). *)
 
@@ -94,14 +86,12 @@ val with_dial_kind : Dialing.kind -> t -> t
 val with_jobs : int -> t -> t
 
 val with_pipeline : ?chunk:int -> bool -> t -> t
-(** Enable/disable the streamed relay; [chunk] (default
-    {!default}[.pipeline_chunk], clamped ≥ 1) sets the onions per part. *)
+(** Choose the part size: parts of [chunk] onions (default
+    {!default}[.pipeline_chunk], clamped ≥ 1), or, with [false], one
+    part per batch. *)
 
 val with_deaddrop_shards : int -> t -> t
 (** Shard count for the conversation dead-drop store (clamped ≥ 1). *)
-
-val with_entry_streaming : bool -> t -> t
-(** Chunked entry-tier intake (see {!type-t.entry_streaming}). *)
 
 val with_cdn_edges : int -> t -> t
 

@@ -2,9 +2,10 @@
    the handshake cascade.
 
    Concurrency shape: everything runs on the transport's event loop in
-   one thread.  The round protocol is lockstep per link, so the daemon
-   is a state machine over four events — upstream frame, downstream
-   frame, downstream drop, upstream accept — plus the fault injector. *)
+   one thread.  The hop rules live in the {!Relay}; this module is its
+   TCP shell: the handshake, the upstream outbox, the downstream flap
+   grace, hop spans, the fault effects a relay reports (real sleeps and
+   socket resets), and the scrape endpoints. *)
 
 module Transport = Vuvuzela_transport.Transport
 module Conn = Vuvuzela_transport.Conn
@@ -30,9 +31,8 @@ type config = {
   jobs : int;
   deaddrop_shards : int;
   pipeline_chunk : int option;
-      (** [Some chunk]: forward batches downstream as streamed
-          [*_batch_part] frames of [chunk] onions.  Ingress always
-          accepts both framings. *)
+      (** forward part size: [Some chunk] onions per part, [None] one
+          part per batch.  Ingress accepts parts of any size. *)
   fault_plan : Vuvuzela_faults.Fault.plan option;
   link : Shaper.config option;
       (** emulated WAN characteristics of the downstream link *)
@@ -47,43 +47,18 @@ type config = {
       (** write this daemon's span trace (JSONL) here on shutdown *)
 }
 
-(* The ingress state of one pipelined round: parts are peeled into the
-   server's stream as they arrive; the faults of this (round, server)
-   site fired once, at part 0, against the logical whole batch. *)
-type part_stream = {
-  ps_round : int;
-  ps_dialing : bool;
-  ps_m : int;  (** dial rounds; [0] for conversation *)
-  ps_stream : Server.stream;
-  mutable ps_seq : int;  (** next expected part sequence number *)
-  mutable ps_off : int;  (** onions received so far = absolute slot offset *)
-  mutable ps_tampers : int list;
-      (** [Tamper_slot] absolute slots not yet applied *)
-  mutable ps_poisoned : bool;
-      (** a crash/drop fault consumed this round: swallow its remaining
-          parts silently, exactly as the lockstep wire loses the whole
-          batch *)
-}
-
 type st = {
   cfg : config;
   tp : Transport.t;
   log : string -> unit;
   tel : Telemetry.t option;
   started_ms : float;
-  faults : Fault.injector option;
-  mutable server : Server.t option;
+  mutable relay : Relay.t option;  (** once the server's keys exist *)
   mutable suffix : bytes list;  (** downstream public keys, chain order *)
   mutable upstream : Conn.t option;
   mutable downstream : Conn.t option;
   mutable hello_pending : bool;
       (** upstream said Hello before our own keys existed *)
-  mutable inflight : (int * bool) option;
-      (** (round, dialing) forwarded downstream, results still owed *)
-  mutable stream : part_stream option;
-      (** at most one pipelined round assembles at a time (the protocol
-          is lockstep per link; a part for a different round supersedes
-          the stale stream) *)
   outbox : bytes Queue.t;
       (** upstream frames owed while the upstream link is down; flushed
           (after the Chain_info reply) when the peer reconnects — a
@@ -91,7 +66,10 @@ type st = {
           results *)
   mutable ctx : Trace.context option;
       (** trace context announced by the upstream peer for the next
-          batch; consumed when the hop span opens *)
+          batch; taken when that batch's part 0 arrives *)
+  mutable pass_ctx : Trace.context option;
+      (** with tracing off here: the round's upstream context, passed
+          on unchanged ahead of the forwarded batch *)
   mutable hop : (Trace.span * (float * int)) option;
       (** the open per-round hop span, with the (shaped delay, outage
           count) transport-stats snapshot taken when it opened *)
@@ -177,63 +155,43 @@ let close_hop st =
 
 let open_hop st ~round ~dialing =
   st.last_round <- round;
+  let remote = st.ctx in
+  st.ctx <- None;
   match st.tel with
-  | None -> st.ctx <- None
+  | None -> st.pass_ctx <- remote
   | Some tel ->
       close_hop st;
       let span =
         Trace.begin_remote_span (Telemetry.trace tel) ~name:"hop" ~round
-          ~server:st.cfg.index ~dialing ?remote:st.ctx ()
+          ~server:st.cfg.index ~dialing ?remote ()
       in
-      st.ctx <- None;
       let s = Transport.stats st.tp in
       st.hop <- Some (span, (s.Conn.shaped_delay_ms, s.Conn.outages))
 
-(* Forward a processed batch to the next hop — as one frame, or as
-   streamed parts when this daemon pipelines, so the next server starts
-   peeling while we are still queueing the rest. *)
-let forward_downstream st ~round ~dialing ~m onions =
-  st.inflight <- Some (round, dialing);
-  (* Re-stamp the trace context per hop: downstream parents into our
-     hop span (transitively into the coordinator's round root).  With
-     tracing off, the upstream context passes through unchanged so the
-     hops beyond us still link up. *)
-  (match st.tel, st.hop with
-  | Some tel, Some (span, _) ->
-      send_downstream st
-        (Rpc.Trace_ctx
-           {
-             ctx =
-               Trace.encode_context
-                 (Trace.context_of (Telemetry.trace tel) span);
-           })
-  | _ -> (
-      match st.ctx with
-      | Some c ->
-          st.ctx <- None;
-          send_downstream st (Rpc.Trace_ctx { ctx = Trace.encode_context c })
-      | None -> ()));
-  match st.cfg.pipeline_chunk with
-  | None ->
-      if dialing then send_downstream st (Rpc.Dial_batch { round; m; onions })
-      else send_downstream st (Rpc.Conv_batch { round; onions })
-  | Some chunk ->
-      let parts = Rpc.split_parts ~chunk onions in
-      let n = Array.length parts in
-      for seq = 0 to n - 1 do
-        let last = seq = n - 1 in
-        let onions = parts.(seq) in
-        if dialing then
-          send_downstream st (Rpc.Dial_batch_part { round; m; seq; last; onions })
-        else send_downstream st (Rpc.Conv_batch_part { round; seq; last; onions })
-      done
+(* Ahead of a forwarded batch: downstream parents into our hop span
+   (transitively into the coordinator's round root).  With tracing off
+   here, the upstream context passes through unchanged so the hops
+   beyond us still link up. *)
+let stamp_trace_ctx st =
+  let ctx =
+    match (st.tel, st.hop) with
+    | Some tel, Some (span, _) ->
+        Some (Trace.context_of (Telemetry.trace tel) span)
+    | _ -> st.pass_ctx
+  in
+  st.pass_ctx <- None;
+  Option.iter
+    (fun c ->
+      send_downstream st (Rpc.Trace_ctx { ctx = Trace.encode_context c }))
+    ctx
 
-(* Create the Server once the downstream suffix is known — immediately
-   for the last server, after the first successful handshake otherwise.
-   The rng-seed derivation matches Chain.create byte for byte: that is
-   the whole determinism argument for the multi-process deployment. *)
-let ensure_server ?telemetry ?on_ready st =
-  if st.server = None then begin
+(* Create the Server and its relay once the downstream suffix is known
+   — immediately for the last server, after the first successful
+   handshake otherwise.  The rng-seed derivation matches
+   {!Chain.of_config} byte for byte: that is the whole determinism
+   argument for the multi-process deployment. *)
+let ensure_server ?on_ready st =
+  if st.relay = None then begin
     let cfg = st.cfg in
     let rng_seed =
       Option.map
@@ -243,7 +201,7 @@ let ensure_server ?telemetry ?on_ready st =
         cfg.seed
     in
     let server =
-      Server.create ?rng_seed ?telemetry
+      Server.create ?rng_seed ?telemetry:st.tel
         ~cfg:
           {
             Server.position = cfg.index;
@@ -257,7 +215,11 @@ let ensure_server ?telemetry ?on_ready st =
           }
         ~suffix_pks:st.suffix ()
     in
-    st.server <- Some server;
+    st.relay <-
+      Some
+        (Relay.create
+           ?faults:(Option.map Fault.injector cfg.fault_plan)
+           ?telemetry:st.tel ?chunk:cfg.pipeline_chunk ~index:cfg.index server);
     st.log
       (Printf.sprintf "server %d/%d ready (%d downstream key(s))" cfg.index
          cfg.chain_len (List.length st.suffix));
@@ -271,229 +233,39 @@ let ensure_server ?telemetry ?on_ready st =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Socket-level fault injection                                        *)
+(* Relay effects                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The in-process chain injects faults as a batch crosses the link into
-   server i; here the same plan entry fires as daemon i receives the
-   batch.  Returns what the faulty wire delivered: [None] means the
-   batch never arrives (drop, crash). *)
-let inject st ~round raw msg =
-  match st.faults with
-  | None -> Some (Ok msg, [])
-  | Some inj -> (
-      match Fault.fire inj ~round ~server:st.cfg.index with
-      | [] -> Some (Ok msg, [])
-      | kinds ->
-          st.log
-            (Printf.sprintf "round %d: firing %s" round
-               (String.concat ","
-                  (List.map (Format.asprintf "%a" Fault.pp_kind) kinds)));
-          let dropped = ref false in
-          let tampers = ref [] in
-          let frame_faults = ref [] in
-          List.iter
-            (fun k ->
-              match k with
-              | Fault.Crash ->
-                  (* The receiving server "crashes": reset the upstream
-                     connection; the peer's in-flight round dies with
-                     it and its reconnect finds us again. *)
-                  dropped := true;
-                  Option.iter Conn.close st.upstream;
-                  st.upstream <- None
-              | Fault.Drop_link -> dropped := true
-              | Fault.Delay_ms ms ->
-                  (* A real stall: over sockets there is no virtual
-                     clock to account it to. *)
-                  Unix.sleepf (float_of_int ms /. 1000.)
-              | Fault.Slow_link ms ->
-                  (* Congested link: the batch arrived, late. *)
-                  Unix.sleepf (float_of_int ms /. 1000.)
-              | Fault.Flap ms ->
-                  (* A reset that heals: drop the socket but keep the
-                     batch — the round's reply waits in the outbox for
-                     the peer's reconnect. *)
-                  Option.iter Conn.close st.upstream;
-                  st.upstream <- None;
-                  if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.)
-              | Fault.Partition ms ->
-                  (* A cut link: batch lost, socket reset, slow heal. *)
-                  dropped := true;
-                  Option.iter Conn.close st.upstream;
-                  st.upstream <- None;
-                  if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.)
-              | Fault.Tamper_slot s -> tampers := s :: !tampers
-              | Fault.Corrupt_frame _ | Fault.Truncate_frame _
-              | Fault.Extend_frame _ -> frame_faults := k :: !frame_faults)
-            kinds;
-          if !dropped then None
-          else if !frame_faults <> [] then
-            (* Mutate the received frame, then decode what's left: the
-               typed rejection is exactly what the in-process receiver
-               produces. *)
-            let raw =
-              List.fold_left Fault.apply_frame raw (List.rev !frame_faults)
-            in
-            Some (Rpc.decode raw, [])
-          else Some (Ok msg, List.rev !tampers))
-
-(* ------------------------------------------------------------------ *)
-(* Pipelined ingress                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* One [*_batch_part] frame.  The faults of this (round, server) site
-   fire once, at part 0, with lockstep semantics: crash/drop lose the
-   whole logical batch (remaining parts are swallowed silently), frame
-   faults damage the first part's frame, and [Tamper_slot] indexes the
-   logical batch — it is applied to whichever arriving part carries
-   that absolute slot. *)
-let handle_part st server ~raw msg =
-  let round, dialing, m, seq, last, onions =
-    match msg with
-    | Rpc.Conv_batch_part { round; seq; last; onions } ->
-        (round, false, 0, seq, last, onions)
-    | Rpc.Dial_batch_part { round; m; seq; last; onions } ->
-        (round, true, m, seq, last, onions)
-    | _ -> assert false
-  in
-  let stage = if dialing then "dial-batch" else "conv-batch" in
-  let fail detail =
-    st.stream <- None;
-    send_upstream st (Rpc.Status (status st ~round ~stage detail));
-    close_hop st
-  in
-  let feed ps ~last onions =
-    let len = Array.length onions in
-    let onions =
-      List.fold_left
-        (fun o s ->
-          if s >= ps.ps_off && s < ps.ps_off + len then
-            Fault.apply_tamper o (s - ps.ps_off)
-          else o)
-        onions ps.ps_tampers
-    in
-    ps.ps_tampers <- List.filter (fun s -> s >= ps.ps_off + len) ps.ps_tampers;
-    match Server.stream_feed server ps.ps_stream onions with
-    | () -> (
-        ps.ps_off <- ps.ps_off + len;
-        ps.ps_seq <- ps.ps_seq + 1;
-        if last then begin
-          st.stream <- None;
-          match
-            if dialing then
-              if is_last st then
-                `Reply (Server.dial_finish_deliver server ps.ps_stream ~m:ps.ps_m)
-              else
-                `Forward (Server.dial_finish_forward server ps.ps_stream ~m:ps.ps_m)
-            else if is_last st then
-              `Reply (Server.conv_finish_exchange server ps.ps_stream)
-            else `Forward (Server.conv_finish_forward server ps.ps_stream)
-          with
-          | `Reply replies ->
-              send_upstream st
-                (if dialing then Rpc.Dial_results { round; replies }
-                 else Rpc.Conv_results { round; replies });
-              close_hop st
-          | `Forward onions ->
-              forward_downstream st ~round ~dialing ~m:ps.ps_m onions
-          | exception e -> fail (Printexc.to_string e)
-        end)
-    | exception e -> fail (Printexc.to_string e)
-  in
-  (* A part for a different round supersedes the stale stream: the
-     supervisor moved on (its abort may have been lost with a link). *)
-  (match st.stream with
-  | Some ps when ps.ps_round <> round || ps.ps_dialing <> dialing ->
-      st.stream <- None
+(* Apply what the relay decided.  Over sockets a stall is a real sleep,
+   a reset closes the upstream connection (the peer's reconnect finds
+   us again; owed frames wait in the outbox), and a lost batch is
+   silence — the coordinator's deadline catches it. *)
+let emit st (out : Relay.output) =
+  if out.fired <> [] then
+    st.log
+      (Printf.sprintf "round %d: firing %s" st.last_round
+         (String.concat ","
+            (List.map (Format.asprintf "%a" Fault.pp_kind) out.fired)));
+  if out.reset then begin
+    Option.iter Conn.close st.upstream;
+    st.upstream <- None
+  end;
+  if out.stall_ms > 0 then Unix.sleepf (float_of_int out.stall_ms /. 1000.);
+  (match out.down with
+  | (Rpc.Conv_batch_part { seq = 0; _ } | Rpc.Dial_batch_part { seq = 0; _ })
+    :: _ ->
+      stamp_trace_ctx st
   | _ -> ());
-  if seq = 0 then begin
-    open_hop st ~round ~dialing;
-    let ps =
-      {
-        ps_round = round;
-        ps_dialing = dialing;
-        ps_m = m;
-        ps_stream =
-          (if dialing then Server.dial_stream server ~round
-           else Server.conv_stream server ~round);
-        ps_seq = 0;
-        ps_off = 0;
-        ps_tampers = [];
-        ps_poisoned = false;
-      }
-    in
-    st.stream <- Some ps;
-    match inject st ~round raw msg with
-    | None ->
-        ps.ps_poisoned <- true (* the whole batch never arrives *);
-        close_hop st
-    | Some (Error e, _) ->
-        ps.ps_poisoned <- true;
-        send_upstream st (Rpc.Status (status st ~round ~stage e));
-        close_hop st
-    | Some (Ok msg, tampers) ->
-        ps.ps_tampers <- tampers;
-        (* A [Corrupt_frame] can re-decode to different content. *)
-        let last, onions =
-          match msg with
-          | Rpc.Conv_batch_part { last; onions; _ }
-          | Rpc.Dial_batch_part { last; onions; _ } -> (last, onions)
-          | _ -> (last, onions)
-        in
-        feed ps ~last onions
-  end
-  else
-    match st.stream with
-    | None -> () (* stale tail of an abandoned round *)
-    | Some ps when ps.ps_poisoned -> ()
-    | Some ps when ps.ps_seq = seq -> feed ps ~last onions
-    | Some ps ->
-        (* Ordered link: a sequence gap is a protocol violation. *)
-        fail (Printf.sprintf "part %d arrived, expected %d" seq ps.ps_seq)
+  List.iter (send_downstream st) out.down;
+  List.iter (send_upstream st) out.up;
+  if out.finished then close_hop st
 
 (* ------------------------------------------------------------------ *)
 (* Frame handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let handle_downstream st msg =
-  let server = Option.get st.server in
-  let finish round =
-    match st.inflight with
-    | Some (r, _) when r = round -> st.inflight <- None
-    | _ -> ()
-  in
-  match msg with
-  | Rpc.Conv_results { round; replies } -> (
-      finish round;
-      match Server.conv_backward server ~round replies with
-      | replies ->
-          send_upstream st (Rpc.Conv_results { round; replies });
-          close_hop st
-      | exception e ->
-          send_upstream st
-            (Rpc.Status
-               (status st ~round ~stage:"conv-results"
-                  (Printexc.to_string e)));
-          close_hop st)
-  | Rpc.Dial_results { round; replies } -> (
-      finish round;
-      match Server.dial_backward server ~round replies with
-      | replies ->
-          send_upstream st (Rpc.Dial_results { round; replies });
-          close_hop st
-      | exception e ->
-          send_upstream st
-            (Rpc.Status
-               (status st ~round ~stage:"dial-results"
-                  (Printexc.to_string e)));
-          close_hop st)
-  | Rpc.Drop_contents _ as m -> send_upstream st m
-  | Rpc.Status s ->
-      finish s.Rpc.round;
-      send_upstream st (Rpc.Status s);
-      close_hop st
-  | _ -> ()
+  Option.iter (fun relay -> emit st (Relay.downstream relay msg)) st.relay
 
 let handle_upstream st raw =
   match Rpc.decode raw with
@@ -501,10 +273,11 @@ let handle_upstream st raw =
       send_upstream st
         (Rpc.Status (status st ~round:0 ~stage:"frame" e))
   | Ok (Rpc.Hello _) -> (
-      match st.server with
-      | Some server ->
+      match st.relay with
+      | Some relay ->
           send_upstream st
-            (Rpc.Chain_info { pks = Server.public_key server :: st.suffix });
+            (Rpc.Chain_info
+               { pks = Server.public_key (Relay.server relay) :: st.suffix });
           (* Frames owed from before the flap follow the handshake
              reply, in order: the reconnected peer's pending round can
              still complete. *)
@@ -514,135 +287,33 @@ let handle_upstream st raw =
       (* Tolerated-if-absent, ignored-if-malformed: a poisoned blob
          decodes to [None] and costs only the parent link. *)
       st.ctx <- Trace.decode_context ctx
-  | Ok (Rpc.Bye) ->
+  | Ok Rpc.Bye ->
       close_hop st;
       send_downstream st Rpc.Bye;
       st.stop <- true
-  | Ok (Rpc.Abort { round; dialing }) -> (
-      close_hop st;
-      (match st.inflight with
-      | Some (r, d) when r = round && d = dialing -> st.inflight <- None
-      | _ -> ());
-      (match st.stream with
-      | Some ps when ps.ps_round = round && ps.ps_dialing = dialing ->
-          st.stream <- None
-      | _ -> ());
-      send_downstream st (Rpc.Abort { round; dialing });
-      match st.server with
-      | None -> ()
-      | Some server ->
-          if dialing then Server.abort_dial_round server ~round
-          else Server.abort_conv_round server ~round)
   | Ok msg -> (
-      match st.server with
-      | None -> (
+      let round_start =
+        match msg with
+        | Rpc.Conv_batch_part { round; seq = 0; _ } -> Some (round, false)
+        | Rpc.Dial_batch_part { round; seq = 0; _ } -> Some (round, true)
+        | _ -> None
+      in
+      match (st.relay, round_start) with
+      | Some relay, _ ->
+          (* The hop span opens before the relay peels part 0, so the
+             server's stage spans nest under it. *)
+          Option.iter
+            (fun (round, dialing) -> open_hop st ~round ~dialing)
+            round_start;
+          emit st (Relay.upstream relay ~raw msg)
+      | None, Some (round, _) ->
           (* A batch before our keys exist can only mean the chain is
              still assembling; the peer's supervisor will retry.  A
-             streamed round answers once, at its first part. *)
-          match msg with
-          | Rpc.Conv_batch_part { seq; _ } | Rpc.Dial_batch_part { seq; _ }
-            when seq > 0 ->
-              ()
-          | _ ->
-              let round =
-                match msg with
-                | Rpc.Conv_batch { round; _ }
-                | Rpc.Dial_batch { round; _ }
-                | Rpc.Conv_batch_part { round; _ }
-                | Rpc.Dial_batch_part { round; _ } -> round
-                | _ -> 0
-              in
-              send_upstream st
-                (Rpc.Status
-                   (status st ~round ~stage:"transport" "server not ready")))
-      | Some server -> (
-          let dispatch msg =
-            match msg with
-            | Rpc.Conv_batch { round; onions } -> (
-                match
-                  if is_last st then `Reply (Server.conv_exchange server ~round onions)
-                  else `Forward (Server.conv_forward server ~round onions)
-                with
-                | `Reply replies ->
-                    send_upstream st (Rpc.Conv_results { round; replies });
-                    close_hop st
-                | `Forward onions ->
-                    forward_downstream st ~round ~dialing:false ~m:0 onions
-                | exception e ->
-                    send_upstream st
-                      (Rpc.Status
-                         (status st ~round ~stage:"conv-batch"
-                            (Printexc.to_string e)));
-                    close_hop st)
-            | Rpc.Dial_batch { round; m; onions } -> (
-                match
-                  if is_last st then
-                    `Reply (Server.dial_deliver server ~round ~m onions)
-                  else `Forward (Server.dial_forward server ~round ~m onions)
-                with
-                | `Reply replies ->
-                    send_upstream st (Rpc.Dial_results { round; replies });
-                    close_hop st
-                | `Forward onions ->
-                    forward_downstream st ~round ~dialing:true ~m onions
-                | exception e ->
-                    send_upstream st
-                      (Rpc.Status
-                         (status st ~round ~stage:"dial-batch"
-                            (Printexc.to_string e)));
-                    close_hop st)
-            | Rpc.Fetch_drop { dial_round; index } -> (
-                if is_last st then
-                  match
-                    Server.fetch_invitations ~dial_round server ~index
-                  with
-                  | invitations ->
-                      send_upstream st
-                        (Rpc.Drop_contents { dial_round; index; invitations })
-                  | exception e ->
-                      send_upstream st
-                        (Rpc.Status
-                           (status st ~round:dial_round ~stage:"fetch-drop"
-                              (Printexc.to_string e)))
-                else send_downstream st (Rpc.Fetch_drop { dial_round; index }))
-            | _ -> ()
-          in
-          (* Socket-level fault injection happens on the received batch
-             frames, keyed like the in-process chain: (round, index). *)
-          match msg with
-          | Rpc.Conv_batch { round; _ } | Rpc.Dial_batch { round; _ } -> (
-              let dialing =
-                match msg with Rpc.Dial_batch _ -> true | _ -> false
-              in
-              open_hop st ~round ~dialing;
-              match inject st ~round raw msg with
-              | None -> close_hop st (* dropped or crashed: nobody replies *)
-              | Some (Error e, _) ->
-                  (* a frame fault made the batch undecodable *)
-                  send_upstream st
-                    (Rpc.Status
-                       (status st ~round
-                          ~stage:(if dialing then "dial-batch" else "conv-batch")
-                          e));
-                  close_hop st
-              | Some (Ok msg, tampers) ->
-                  let msg =
-                    List.fold_left
-                      (fun msg slot ->
-                        match msg with
-                        | Rpc.Conv_batch { round; onions } ->
-                            Rpc.Conv_batch
-                              { round; onions = Fault.apply_tamper onions slot }
-                        | Rpc.Dial_batch { round; m; onions } ->
-                            Rpc.Dial_batch
-                              { round; m; onions = Fault.apply_tamper onions slot }
-                        | m -> m)
-                      msg tampers
-                  in
-                  dispatch msg)
-          | (Rpc.Conv_batch_part _ | Rpc.Dial_batch_part _) as msg ->
-              handle_part st server ~raw msg
-          | msg -> dispatch msg))
+             round answers once, at its first part. *)
+          send_upstream st
+            (Rpc.Status
+               (status st ~round ~stage:"transport" "server not ready"))
+      | None, None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -674,16 +345,14 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
         log;
         tel = telemetry;
         started_ms = Unix.gettimeofday () *. 1000.;
-        faults = Option.map Fault.injector cfg.fault_plan;
-        server = None;
+        relay = None;
         suffix = [];
         upstream = None;
         downstream = None;
         hello_pending = false;
-        inflight = None;
-        stream = None;
         outbox = Queue.create ();
         ctx = None;
+        pass_ctx = None;
         hop = None;
         last_round = 0;
         hops_done = 0;
@@ -731,7 +400,7 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
             (Json.Obj
                [
                  ( "status",
-                   Json.Str (if st.server <> None then "ok" else "starting") );
+                   Json.Str (if st.relay <> None then "ok" else "starting") );
                  ("index", Json.Num (float_of_int cfg.index));
                  ("chain_len", Json.Num (float_of_int cfg.chain_len));
                  ("last", Json.Bool (is_last st));
@@ -782,7 +451,7 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
         | Ok httpd ->
         (match cfg.next with
         | None ->
-            ensure_server ?telemetry ?on_ready st (* last server: no suffix *)
+            ensure_server ?on_ready st (* last server: no suffix *)
         | Some next_addr ->
             let backoff_seed =
               Option.map
@@ -807,16 +476,16 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
                 ~on_established:(fun _ payload ->
                   match Rpc.decode payload with
                   | Ok (Rpc.Chain_info { pks }) ->
-                      if st.server = None then begin
+                      if st.relay = None then begin
                         st.suffix <- pks;
-                        ensure_server ?telemetry ?on_ready st
+                        ensure_server ?on_ready st
                       end
                   | Ok _ | Error _ ->
                       st.log "malformed downstream handshake reply")
                 ~on_frame:(fun _ raw ->
                   match Rpc.decode raw with
-                  | Ok msg when st.server <> None -> handle_downstream st msg
-                  | Ok _ | Error _ -> ())
+                  | Ok msg -> handle_downstream st msg
+                  | Error _ -> ())
                 ~on_drop:(fun conn ->
                   st.log "downstream link lost";
                   (* Grace, not instant abort: the connection redials on
@@ -825,32 +494,20 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
                      [flap_grace_ms] lets the round complete.  Only a
                      link still down (for the same in-flight round) when
                      the grace expires abandons the round. *)
-                  match st.inflight with
-                  | Some (round, dialing) when cfg.flap_grace_ms > 0. ->
-                      ignore
-                        (Evloop.after (Transport.loop tp)
-                           ~ms:cfg.flap_grace_ms (fun () ->
-                             match st.inflight with
-                             | Some (r, d)
-                               when r = round && d = dialing
-                                    && not (Conn.established conn) ->
-                                 st.inflight <- None;
-                                 send_upstream st
-                                   (Rpc.Status
-                                      (status st ~round
-                                         ~stage:
-                                           (if dialing then "dial-batch"
-                                            else "conv-batch")
-                                         "downstream link lost"))
-                             | _ -> ()))
-                  | Some (round, dialing) ->
-                      st.inflight <- None;
-                      send_upstream st
-                        (Rpc.Status
-                           (status st ~round
-                              ~stage:(if dialing then "dial-batch" else "conv-batch")
-                              "downstream link lost"))
-                  | None -> ())
+                  match st.relay with
+                  | None -> ()
+                  | Some relay -> (
+                      match Relay.inflight relay with
+                      | Some inflight when cfg.flap_grace_ms > 0. ->
+                          ignore
+                            (Evloop.after (Transport.loop tp)
+                               ~ms:cfg.flap_grace_ms (fun () ->
+                                 if
+                                   Relay.inflight relay = Some inflight
+                                   && not (Conn.established conn)
+                                 then emit st (Relay.downstream_lost relay)))
+                      | Some _ -> emit st (Relay.downstream_lost relay)
+                      | None -> ()))
                 ()
             in
             st.downstream <- Some down);
@@ -871,6 +528,6 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
         Option.iter (fun h -> Httpd.close h) httpd;
         Option.iter Conn.close st.downstream;
         Option.iter Conn.close st.upstream;
-        Option.iter Server.shutdown st.server;
+        Option.iter (fun r -> Server.shutdown (Relay.server r)) st.relay;
         Ok ())
   end

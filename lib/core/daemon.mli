@@ -1,6 +1,8 @@
 (** One chain server as its own OS process: the engine behind the
     [vuvuzela-server] executable (and the forked processes of the
-    loopback tests).
+    loopback tests).  The hop rules are the server's {!Relay}, the same
+    state machine the in-process {!Chain} runs; this module is its TCP
+    shell — handshake, outbox, flap grace, hop spans, scrape endpoints.
 
     Topology is the paper's §7 chain: the daemon listens for exactly
     one upstream peer (the coordinator, or the previous server) and —
@@ -19,16 +21,18 @@
     to heal before the in-flight round is abandoned — so a connection
     flap that recovers inside the grace costs latency, not the round.
 
-    A [fault_plan] arms the socket-level counterparts of the in-process
-    link faults, fired at this daemon's incoming link (plan entries
-    must name [server = index]): [Crash] resets the upstream
-    connection, [Drop_link] swallows the batch (the coordinator's
-    deadline catches it), frame faults mutate the received frame before
-    decoding (the typed rejection crosses the wire as a [Status]),
-    [Delay_ms] and [Slow_link] stall the process for real,
-    [Tamper_slot] flips an onion byte, [Flap] resets the upstream
-    socket but keeps the batch (the reply waits in the outbox),
-    [Partition] drops the batch and resets the socket. *)
+    A [fault_plan] fires at this daemon's incoming link (plan entries
+    must name [server = index]) exactly where the in-process relay
+    fires it; the relay decides, this shell applies the socket-level
+    effects: [Crash] resets the upstream connection and loses the
+    batch, [Drop_link] loses it (a lost batch is silence: the
+    coordinator's deadline catches it), frame faults mutate the
+    received part 0 before decoding (the typed rejection crosses the
+    wire as a [Status]), [Delay_ms] and [Slow_link] stall the process
+    for real, [Tamper_slot] flips an onion byte, [Flap] resets the
+    upstream socket but keeps the batch (the reply waits in the
+    outbox), [Partition] loses the batch, resets the socket and
+    stalls.  Fired faults are counted in the daemon's telemetry. *)
 
 type config = {
   listen : Unix.sockaddr;
@@ -36,8 +40,9 @@ type config = {
   index : int;  (** 0-based chain position *)
   chain_len : int;
   seed : string option;
-      (** same derivation as {!Chain.create}: a multi-process chain
-          with seed [s] is bit-identical to [Chain.create ~seed:s] *)
+      (** same derivation as {!Chain.of_config}: a multi-process chain
+          with seed [s] is bit-identical to an in-process chain
+          configured with [Config.with_seed s] *)
   noise : Vuvuzela_dp.Laplace.params;
   dial_noise : Vuvuzela_dp.Laplace.params;
   noise_mode : Vuvuzela_dp.Noise.mode;
@@ -46,12 +51,11 @@ type config = {
   deaddrop_shards : int;
       (** conversation dead-drop store shards (last server; >= 1) *)
   pipeline_chunk : int option;
-      (** [Some chunk]: forward batches leave for the next server as
-          streamed [*_batch_part] frames of [chunk] onions each, so the
-          successor peels early parts while later ones are still in
-          flight.  [None]: one whole-batch frame.  Ingress always
-          accepts both framings; results are bit-identical either
-          way. *)
+      (** forward part size: [Some chunk] sends batches to the next
+          server as parts of [chunk] onions each, so the successor peels
+          early parts while later ones are still in flight; [None] sends
+          each batch as one part.  Ingress accepts parts of any size;
+          results are bit-identical either way. *)
   fault_plan : Vuvuzela_faults.Fault.plan option;
   link : Vuvuzela_transport.Shaper.config option;
       (** emulated WAN characteristics of the downstream link (jitter

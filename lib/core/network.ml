@@ -1,5 +1,5 @@
-(* A complete in-process Vuvuzela deployment: chain of servers, entry
-   server, client population, and the round clock.
+(* A complete Vuvuzela deployment: chain of servers (in this process or
+   behind TCP), entry server, client population, and the round clock.
 
    This is the functional (real-crypto) counterpart of the performance
    simulator in [vuvuzela_sim]: every byte that would cross the network
@@ -19,7 +19,7 @@
    bounded by [max_retries]; a round that still fails is reported with
    its full abort history and per-client [Round_failed] events.
 
-   [run_round ~blocked] additionally models the active network adversary
+   [run ~blocked] additionally models the active network adversary
    of §2.1 ("block network traffic from Alice") by suppressing chosen
    clients' requests for a round. *)
 
@@ -31,21 +31,37 @@ module Drbg = Vuvuzela_crypto.Drbg
 module Shaper = Vuvuzela_transport.Shaper
 module Config = Config
 
-(* Where the chain lives: in this process, or behind a TCP connection to
-   the first hop of a multi-process deployment (§7).  The supervisor is
-   backend-agnostic — both produce results-or-typed-status per round —
-   but a few capabilities are local-only: fault injection and [tap] live
-   inside the in-process chain, virtual [Delay_ms] accounting has no TCP
-   counterpart (socket delays are real and show up in wall clock), and
-   §5.4 auto-tuning needs the last server's [proposed_m], which the wire
-   protocol does not carry. *)
-type backend = Local of Chain.t | Tcp of Remote.t
+(* The one chain interface the supervisor drives.  In-process it is a
+   {!Chain}; over TCP a {!Remote} to the first hop of a multi-process
+   deployment (§7).  Both take a round as a producer of request chunks
+   and answer results-or-typed-status.  A few capabilities exist only
+   in-process: fault injection and [tap] live inside the chain, virtual
+   stall accounting has no TCP counterpart (socket delays are real and
+   show up in wall clock), and §5.4 auto-tuning needs the last server's
+   [proposed_m], which the wire protocol does not carry. *)
+type producer = (bytes array -> unit) -> unit
+
+type backend = {
+  pks : bytes list;  (** in chain order *)
+  conv : round:int -> produce:producer -> (bytes array, Rpc.status) result;
+  dial :
+    round:int -> m:int -> produce:producer -> (bytes array, Rpc.status) result;
+  abort : round:int -> dialing:bool -> unit;
+  fetch : dial_round:int -> index:int -> bytes list;
+  set_deadline_ms : float option -> unit;
+      (** over TCP the deadline also bounds the wait for the results
+          frame (a silently dead link otherwise blocks forever) *)
+  delay_ms : unit -> float;  (** virtual stall of the latest round *)
+  proposed_m : unit -> int option;
+  jobs : int;
+  shutdown : unit -> unit;
+  local : Chain.t option;
+}
 
 type t = {
   backend : backend;
   tel : Telemetry.t option;
       (** shared with the chain and its servers; [None] is the nil sink *)
-  server_pks : bytes list;
   clients : (bytes, Client.t) Hashtbl.t;  (** keyed by public key *)
   mutable order : Client.t list;  (** connection order, for determinism *)
   mutable round : int;
@@ -54,11 +70,9 @@ type t = {
   mutable auto_tune_m : bool;
   dial_kind : Dialing.kind;
   cdn : Cdn.t option;  (** §5.5 distribution of invitation drops *)
-  mutable entry_streaming : bool;
-      (** scale plane: collect entry requests through a streaming
-          {!Entry} collector feeding the chain in chunks, so no tier
-          materializes the whole onion batch *)
-  entry_chunk : int;  (** onions per streamed entry chunk *)
+  entry_chunk : int;
+      (** onions per entry chunk: the part size when pipelined, else
+          [max_int] (the whole round is one part) *)
   mutable round_deadline_ms : float option;
       (** supervisor deadline per attempt; [None] disables the check *)
   mutable max_retries : int;  (** extra attempts after the first *)
@@ -119,29 +133,19 @@ let install_ledger (cfg : Config.t) =
            ~dial:(Mechanism.dialing cfg.dial_noise) ()))
     cfg.telemetry
 
-let of_config (cfg : Config.t) =
-  let chain = Chain.of_config cfg in
+let entry_chunk_of (cfg : Config.t) =
+  if cfg.pipeline then max 1 cfg.pipeline_chunk else max_int
+
+let make (cfg : Config.t) backend ~cdn =
   install_ledger cfg;
-  let cdn =
-    if cfg.cdn_edges > 0 then
-      Some
-        (Cdn.create ~edges:cfg.cdn_edges ~history:Server.invitation_history
-           ?bloom_fp:cfg.cdn_bloom_fp
-           ~fetch:(fun ~dial_round ~index ->
-             Chain.fetch_invitations chain ~dial_round ~index)
-           ())
-    else None
-  in
   {
-    backend = Local chain;
-    entry_streaming = cfg.entry_streaming;
-    entry_chunk = max 1 cfg.pipeline_chunk;
+    backend;
+    entry_chunk = entry_chunk_of cfg;
     admission_rng = admission_rng_of cfg;
     admission_ms = cfg.admission_ms;
     client_latency = cfg.client_latency;
     link = cfg.link;
     tel = cfg.telemetry;
-    server_pks = Chain.public_keys chain;
     clients = Hashtbl.create 64;
     order = [];
     round = 1;
@@ -157,37 +161,57 @@ let of_config (cfg : Config.t) =
     obs = obs_of cfg;
   }
 
-let create ?seed ?(n_servers = 3)
-    ?(noise = Laplace.params ~mu:10. ~b:2.)
-    ?(dial_noise = Laplace.params ~mu:3. ~b:1.)
-    ?(noise_mode = Noise.Sampled) ?dial_kind ?jobs ?(cdn_edges = 0)
-    ?fault_plan ?tap ?telemetry ?budget_warn ?round_deadline_ms
-    ?(max_retries = 2) () =
-  of_config
+let of_config (cfg : Config.t) =
+  let chain = Chain.of_config cfg in
+  let fetch ~dial_round ~index =
+    Chain.fetch_invitations chain ~dial_round ~index
+  in
+  let cdn =
+    if cfg.cdn_edges > 0 then
+      Some
+        (Cdn.create ~edges:cfg.cdn_edges ~history:Server.invitation_history
+           ?bloom_fp:cfg.cdn_bloom_fp ~fetch ())
+    else None
+  in
+  make cfg ~cdn
     {
-      Config.default with
-      seed;
-      n_servers;
-      noise;
-      dial_noise;
-      noise_mode;
-      dial_kind = Option.value ~default:Config.default.dial_kind dial_kind;
-      jobs = Option.value ~default:Config.default.jobs jobs;
-      cdn_edges;
-      fault_plan;
-      tap;
-      telemetry;
-      budget_warn;
-      round_deadline_ms;
-      max_retries;
+      pks = Chain.public_keys chain;
+      conv = Chain.conversation_round_streamed chain;
+      dial = Chain.dialing_round_streamed chain;
+      abort = Chain.abort chain;
+      fetch;
+      set_deadline_ms = ignore;
+      delay_ms = (fun () -> Chain.last_round_delay_ms chain);
+      proposed_m = (fun () -> Some (Chain.proposed_m chain));
+      jobs = Chain.jobs chain;
+      shutdown = (fun () -> Chain.shutdown chain);
+      local = Some chain;
     }
+
+(* The TCP counterpart of the chain's per-round root span
+   ([conv-round] / [dial-round], opened inside {!Chain} in-process):
+   the remote chain cannot open one in this process, so the coordinator
+   wraps the round trip itself and announces the span's wire context to
+   the first hop ahead of the batch — at merge time every daemon hop
+   span parents transitively into this root. *)
+let round_root tel remote ~name ~round ~dialing f =
+  match tel with
+  | None -> f ()
+  | Some tel ->
+      let tr = Telemetry.trace tel in
+      let span = Trace.begin_span tr ~name ~round ~dialing () in
+      Remote.set_trace_ctx remote (Some (Trace.context_of tr span));
+      Fun.protect
+        ~finally:(fun () ->
+          Remote.set_trace_ctx remote None;
+          Trace.end_span tr span)
+        f
 
 (* The coordinator of a multi-process deployment: same clients, same
    supervisor, but rounds cross a TCP connection to server 0.  [noise]
    and [dial_noise] only feed the privacy-budget ledger here (the
    daemons own the actual noise) — pass the daemons' parameters or the
-   ledger composes the wrong guarantee.  With [pipeline] set, entry
-   batches leave the coordinator as streamed [*_batch_part] frames. *)
+   ledger composes the wrong guarantee. *)
 let of_config_tcp (cfg : Config.t) ~addr =
   (* The coordinator → first-hop link gets the same WAN profile the
      daemons put on their inter-server links, with its own derived
@@ -209,81 +233,48 @@ let of_config_tcp (cfg : Config.t) ~addr =
   with
   | Error e -> Error e
   | Ok remote ->
-      install_ledger cfg;
-      Remote.set_pipeline remote
-        (if cfg.pipeline then Some (max 1 cfg.pipeline_chunk) else None);
+      let traced ~dialing ~round f =
+        round_root cfg.telemetry remote
+          ~name:(if dialing then "dial-round" else "conv-round")
+          ~round ~dialing f
+      in
       Ok
-        {
-          backend = Tcp remote;
-          entry_streaming = cfg.entry_streaming;
-          entry_chunk = max 1 cfg.pipeline_chunk;
-          admission_rng = admission_rng_of cfg;
-          admission_ms = cfg.admission_ms;
-          client_latency = cfg.client_latency;
-          link = cfg.link;
-          tel = cfg.telemetry;
-          server_pks = Remote.public_keys remote;
-          clients = Hashtbl.create 64;
-          order = [];
-          round = 1;
-          dial_round = 1;
-          m = 1;
-          auto_tune_m = false;
-          dial_kind = cfg.dial_kind;
-          cdn = None;
-          round_deadline_ms = cfg.round_deadline_ms;
-          max_retries = max 0 cfg.max_retries;
-          m_history = [];
-          last_fetched = Hashtbl.create 64;
-          obs = obs_of cfg;
-        }
-
-let create_tcp ?(noise = Laplace.params ~mu:10. ~b:2.)
-    ?(dial_noise = Laplace.params ~mu:3. ~b:1.) ?dial_kind ?telemetry
-    ?budget_warn ?round_deadline_ms ?(max_retries = 2)
-    ?handshake_timeout_ms ~addr () =
-  of_config_tcp
-    {
-      Config.default with
-      noise;
-      dial_noise;
-      dial_kind = Option.value ~default:Config.default.dial_kind dial_kind;
-      telemetry;
-      budget_warn;
-      round_deadline_ms;
-      max_retries;
-      handshake_timeout_ms =
-        Option.value ~default:Config.default.handshake_timeout_ms
-          handshake_timeout_ms;
-    }
-    ~addr
+        (make cfg ~cdn:None
+           {
+             pks = Remote.public_keys remote;
+             conv =
+               (fun ~round ~produce ->
+                 traced ~dialing:false ~round (fun () ->
+                     Remote.conversation_round_streamed remote ~round
+                       ~produce));
+             dial =
+               (fun ~round ~m ~produce ->
+                 traced ~dialing:true ~round (fun () ->
+                     Remote.dialing_round_streamed remote ~round ~m ~produce));
+             abort = Remote.abort remote;
+             fetch = Remote.fetch_invitations remote;
+             set_deadline_ms = Remote.set_deadline_ms remote;
+             delay_ms = (fun () -> 0.);
+             proposed_m = (fun () -> None);
+             jobs = 1;
+             shutdown = (fun () -> Remote.shutdown remote);
+             local = None;
+           })
 
 let chain t =
-  match t.backend with
-  | Local c -> c
-  | Tcp _ -> invalid_arg "Network.chain: TCP deployment has no in-process chain"
+  match t.backend.local with
+  | Some c -> c
+  | None -> invalid_arg "Network.chain: TCP deployment has no in-process chain"
 
-let is_remote t = match t.backend with Local _ -> false | Tcp _ -> true
+let is_remote t = t.backend.local = None
 let telemetry t = t.tel
-
-let jobs t =
-  match t.backend with Local c -> Chain.jobs c | Tcp _ -> 1
+let jobs t = t.backend.jobs
 
 let shutdown t =
   (* Finalize observability first: the scrape needs the daemons still
      answering, so it must precede the Bye cascade. *)
   Option.iter (fun obs -> Obs.finalize ?telemetry:t.tel obs) t.obs;
-  match t.backend with
-  | Local c -> Chain.shutdown c
-  | Tcp r -> Remote.shutdown r
-
-(* Backend dispatch for the round operations.  The per-round deadline is
-   synced into the remote before each call: over TCP the deadline also
-   bounds the wait for the results frame itself (a silently dead link
-   otherwise blocks forever), surfacing as a retryable transport
-   status. *)
-let chain_length t =
-  match t.backend with Local c -> Chain.length c | Tcp r -> Remote.length r
+  t.backend.shutdown ()
 
 (* Hedged deadline (§WAN): an emulated link adds a predictable RTT to
    every round, so the effective deadline is the configured one widened
@@ -296,81 +287,10 @@ let effective_deadline_ms t =
   | Some d ->
       Some
         (match t.link with
-        | Some link -> d +. Shaper.rtt_budget_ms link ~hops:(chain_length t)
+        | Some link ->
+            d +. Shaper.rtt_budget_ms link ~hops:(List.length t.backend.pks)
         | None -> d)
 
-(* The TCP counterpart of the chain's per-round root span
-   ([conv-round] / [dial-round], opened inside {!Chain} in-process):
-   the remote chain cannot open one in this process, so the coordinator
-   wraps the round trip itself and announces the span's wire context to
-   the first hop ahead of the batch — at merge time every daemon hop
-   span parents transitively into this root. *)
-let round_root t r ~name ~round ~dialing f =
-  match t.tel with
-  | None -> f ()
-  | Some tel ->
-      let tr = Telemetry.trace tel in
-      let span = Trace.begin_span tr ~name ~round ~dialing () in
-      Remote.set_trace_ctx r (Some (Trace.context_of tr span));
-      Fun.protect
-        ~finally:(fun () ->
-          Remote.set_trace_ctx r None;
-          Trace.end_span tr span)
-        f
-
-let chain_conversation_round t ~round requests =
-  match t.backend with
-  | Local c -> Chain.conversation_round c ~round requests
-  | Tcp r ->
-      Remote.set_deadline_ms r (effective_deadline_ms t);
-      round_root t r ~name:"conv-round" ~round ~dialing:false (fun () ->
-          Remote.conversation_round r ~round requests)
-
-let chain_conversation_round_streamed t ~round ~produce =
-  match t.backend with
-  | Local c -> Chain.conversation_round_streamed c ~round ~produce
-  | Tcp r ->
-      Remote.set_deadline_ms r (effective_deadline_ms t);
-      round_root t r ~name:"conv-round" ~round ~dialing:false (fun () ->
-          Remote.conversation_round_streamed r ~round ~produce)
-
-let chain_dialing_round t ~round ~m requests =
-  match t.backend with
-  | Local c -> Chain.dialing_round c ~round ~m requests
-  | Tcp r ->
-      Remote.set_deadline_ms r (effective_deadline_ms t);
-      round_root t r ~name:"dial-round" ~round ~dialing:true (fun () ->
-          Remote.dialing_round r ~round ~m requests)
-
-let chain_dialing_round_streamed t ~round ~m ~produce =
-  match t.backend with
-  | Local c -> Chain.dialing_round_streamed c ~round ~m ~produce
-  | Tcp r ->
-      Remote.set_deadline_ms r (effective_deadline_ms t);
-      round_root t r ~name:"dial-round" ~round ~dialing:true (fun () ->
-          Remote.dialing_round_streamed r ~round ~m ~produce)
-
-let chain_abort_round t ~round =
-  match t.backend with
-  | Local c -> Chain.abort_round c ~round
-  | Tcp r -> Remote.abort_round r ~round
-
-let chain_abort_dialing_round t ~round =
-  match t.backend with
-  | Local c -> Chain.abort_dialing_round c ~round
-  | Tcp r -> Remote.abort_dialing_round r ~round
-
-let chain_fetch_invitations t ~dial_round ~index =
-  match t.backend with
-  | Local c -> Chain.fetch_invitations c ~dial_round ~index
-  | Tcp r -> Remote.fetch_invitations r ~dial_round ~index
-
-(* Virtual injected delay is an in-process construct; socket-level
-   delays are real and already inside the wall clock. *)
-let chain_last_round_delay_ms t =
-  match t.backend with
-  | Local c -> Chain.last_round_delay_ms c
-  | Tcp _ -> 0.
 let round t = t.round
 let dial_round t = t.dial_round
 let n_clients t = Hashtbl.length t.clients
@@ -382,8 +302,6 @@ let set_round_deadline_ms t d = t.round_deadline_ms <- d
 let round_deadline_ms t = t.round_deadline_ms
 let set_max_retries t n = t.max_retries <- max 0 n
 let max_retries t = t.max_retries
-let set_entry_streaming t flag = t.entry_streaming <- flag
-let entry_streaming t = t.entry_streaming
 let entry_chunk t = t.entry_chunk
 let set_admission_ms t w = t.admission_ms <- w
 let admission_ms t = t.admission_ms
@@ -398,7 +316,7 @@ let connect ?seed ?window ?rtt ?max_conversations ?certified t =
   in
   let client =
     Client.create ?seed ?window ?rtt ?max_conversations
-      ~dial_kind:t.dial_kind ?certified ~identity ~server_pks:t.server_pks ()
+      ~dial_kind:t.dial_kind ?certified ~identity ~server_pks:t.backend.pks ()
   in
   Hashtbl.replace t.clients identity.Types.public client;
   t.order <- client :: t.order;
@@ -421,9 +339,9 @@ type round_report = {
           report these are the [Round_failed] notifications *)
   batch_size : int;  (** requests the entry server forwarded *)
   peak_buffered : int;
-      (** most onions the entry server held at once: [batch_size] when
-          it materialized the batch, at most the configured chunk when
-          it streamed (the scale plane's memory bound) *)
+      (** most onions the entry server held at once: at most the part
+          size when pipelined (the scale plane's memory bound),
+          [batch_size] otherwise *)
   admitted : int;
       (** clients inside the last attempt's admission window (= all
           participants when no window is configured) *)
@@ -431,10 +349,12 @@ type round_report = {
       (** clients the last attempt excluded as stragglers: their onions
           reached the closed collector, earned the typed
           [Entry.Late] answer, and what they carried was requeued *)
-  wire_bytes : int;  (** size of the entry → first-server batch frame *)
+  wire_bytes : int;
+      (** size of the entry → first-server batch as one part frame *)
   elapsed_ms : float;
-      (** wall clock for the last attempt's chain round trip, plus any
-          injected virtual link delay *)
+      (** wall clock for the last attempt — client request build and
+          the chain round trip, which overlap — plus any injected
+          virtual link delay *)
   confirmed_acks : int;
       (** dialing rounds: acks that unwrapped to the expected fixed
           plaintext; [0] for conversation rounds *)
@@ -619,7 +539,7 @@ let record_obs t (r : round_report) =
         ~failed:(r.failure <> None) ?budget ()
 
 let supervise t ~dialing ~late_pred ~participants ~next_round ~submit
-    ~wire_bytes_of ~call ~call_streamed ~abort ~requeue ~finish =
+    ~wire_bytes_of ~call ~abort ~requeue ~finish =
   let aborts = ref [] in
   let rec attempt n =
     let round = next_round () in
@@ -627,51 +547,36 @@ let supervise t ~dialing ~late_pred ~participants ~next_round ~submit
     charge_attempt t ~participants:admitted ~dialing;
     observe_admission t ~dialing ~admitted:(List.length admitted)
       ~late:(List.length stragglers);
-    (* Collect requests and run the chain call.  Materializing (the
-       default): close the round first, then time the chain trip alone.
-       Streaming (scale plane): the chain call's [produce] hook owns the
-       collector — clients submit into a streaming {!Entry} whose sink
-       is the chain's chunk feed, so the entry tier never holds more
-       than [entry_chunk] onions while server 0 peels earlier chunks.
-       Building then overlaps the wire, so the timed window includes
-       it.  Either way the chain sees the same slot-ordered request
-       bytes, so transcripts are bit-identical. *)
+    (* The chain call's [produce] hook owns the entry collector: clients
+       submit into an {!Entry} whose sink feeds the chain part by part,
+       so the entry tier holds at most [entry_chunk] onions while server
+       0 peels earlier parts (unpipelined, the whole round is one chunk,
+       flushed when it closes).  Building overlaps the wire, so the
+       timed window includes it. *)
     let collector = ref None in
     let ids = ref [||] in
     let batch_size = ref 0 in
     let peak = ref 0 in
+    t.backend.set_deadline_ms (effective_deadline_ms t);
     let outcome, wall_ms =
-      if not t.entry_streaming then begin
-        let entry = Entry.create ~round () in
-        collector := Some entry;
-        Telemetry.span t.tel ~name:"client-build" ~round ~dialing (fun () ->
-            submit entry ~round admitted);
-        let requests, i = Entry.close_round entry in
-        ids := i;
-        batch_size := Array.length requests;
-        peak := Entry.peak_buffered entry;
-        timed (fun () -> call ~round requests)
-      end
-      else
-        timed (fun () ->
-            call_streamed ~round ~produce:(fun feed ->
-                let entry =
-                  Entry.create_streaming ~round ~chunk:t.entry_chunk
-                    ~sink:feed ()
-                in
-                collector := Some entry;
-                Telemetry.span t.tel ~name:"client-build" ~round ~dialing
-                  (fun () -> submit entry ~round admitted);
-                ids := Entry.close_stream entry;
-                batch_size := Array.length !ids;
-                peak := Entry.peak_buffered entry))
+      timed (fun () ->
+          call ~round ~produce:(fun feed ->
+              let entry =
+                Entry.create ~round ~chunk:t.entry_chunk ~sink:feed ()
+              in
+              collector := Some entry;
+              Telemetry.span t.tel ~name:"client-build" ~round ~dialing
+                (fun () -> submit entry ~round admitted);
+              ids := Entry.close entry;
+              batch_size := Array.length !ids;
+              peak := Entry.peak_buffered entry))
     in
     (* Stragglers still sent: their onions reach the closed collector,
        earn the typed [Entry.Late] answer (onions are round-keyed, so
        joining a sealed round is impossible), and what they carried is
-       requeued for the round the entry server named.  A streamed call
-       that failed before opening its collector answers from the round
-       number alone. *)
+       requeued for the round the entry server named.  A call that
+       failed before opening its collector (a shut-down chain) answers
+       from the round number alone. *)
     let late_events =
       List.map
         (fun c ->
@@ -689,7 +594,7 @@ let supervise t ~dialing ~late_pred ~participants ~next_round ~submit
     let batch_size = !batch_size in
     let peak_buffered = !peak in
     let wire_bytes = wire_bytes_of ~count:batch_size in
-    let elapsed_ms = wall_ms +. chain_last_round_delay_ms t in
+    let elapsed_ms = wall_ms +. t.backend.delay_ms () in
     observe_attempt t ~dialing ~wall_ms ~wire_bytes;
     let report failure ~confirmed_acks events =
       { round; dialing; events; batch_size; peak_buffered;
@@ -728,6 +633,14 @@ let supervise t ~dialing ~late_pred ~participants ~next_round ~submit
   record_obs t r;
   r
 
+(* The entry batch's size on the wire as one part frame (at any part
+   size, so reports compare across part sizes). *)
+let wire_bytes t ~dialing ~count =
+  Rpc.part_bytes ~dialing ~count
+    ~item_len:
+      (Relay.request_len ~chain_len:(List.length t.backend.pks)
+         ~dial_kind:t.dial_kind ~dialing)
+
 let run_conversation ?late ~participants (t : t) =
   supervise t ~dialing:false ~late_pred:late ~participants
     ~next_round:(fun () ->
@@ -744,15 +657,9 @@ let run_conversation ?late ~participants (t : t) =
                   : Entry.submit_status))
             (Client.conversation_requests c ~round))
         cs)
-    ~wire_bytes_of:(fun ~count ->
-      Rpc.conv_batch_bytes ~count
-        ~item_len:
-          (Vuvuzela_mixnet.Onion.request_size ~chain_len:(chain_length t)
-             ~payload_len:Types.exchange_payload_len))
-    ~call:(fun ~round requests -> chain_conversation_round t ~round requests)
-    ~call_streamed:(fun ~round ~produce ->
-      chain_conversation_round_streamed t ~round ~produce)
-    ~abort:(fun ~round -> chain_abort_round t ~round)
+    ~wire_bytes_of:(wire_bytes t ~dialing:false)
+    ~call:t.backend.conv
+    ~abort:(fun ~round -> t.backend.abort ~round ~dialing:false)
     ~requeue:(fun c ~round -> Client.abort_round c ~round)
     ~finish:(fun ~round ~ids results ->
       (* Group each client's slot replies back together, in slot order. *)
@@ -807,14 +714,14 @@ let download_invitations t c =
               List.concat_map snd
                 (Cdn.fetch_matched cdn ~client_pk:pk ~dial_round:r ~index ~m)
           | Some cdn -> Cdn.fetch cdn ~client_pk:pk ~dial_round:r ~index
-          | None -> chain_fetch_invitations t ~dial_round:r ~index
+          | None -> t.backend.fetch ~dial_round:r ~index
         in
         events := !events @ Client.handle_invitations c drop
   done;
   Hashtbl.replace t.last_fetched pk upto;
   !events
 
-(* One dialing round, supervised like [run_round]: every participating
+(* One dialing round, supervised like a conversation round: every participating
    client sends an invitation or no-op, confirms the chain's ack, then
    downloads and scans the invitation drops it has not seen yet.  An
    aborted attempt requeues each client's invitation (the retry builds a
@@ -834,15 +741,9 @@ let run_dialing ?late ~participants (t : t) =
                (Client.dialing_request c ~dial_round:round ~m)
               : Entry.submit_status))
         cs)
-    ~wire_bytes_of:(fun ~count ->
-      Rpc.dial_batch_bytes ~count
-        ~item_len:
-          (Vuvuzela_mixnet.Onion.request_size ~chain_len:(chain_length t)
-             ~payload_len:(Dialing.payload_len t.dial_kind)))
-    ~call:(fun ~round requests -> chain_dialing_round t ~round ~m requests)
-    ~call_streamed:(fun ~round ~produce ->
-      chain_dialing_round_streamed t ~round ~m ~produce)
-    ~abort:(fun ~round -> chain_abort_dialing_round t ~round)
+    ~wire_bytes_of:(wire_bytes t ~dialing:true)
+    ~call:(t.backend.dial ~m)
+    ~abort:(fun ~round -> t.backend.abort ~round ~dialing:true)
     ~requeue:(fun c ~round -> Client.abort_dial_round c ~dial_round:round)
     ~finish:(fun ~round ~ids acks ->
       (* Route each slot's ack back to its client; a confirmed ack
@@ -862,9 +763,9 @@ let run_dialing ?late ~participants (t : t) =
       (* §5.4: adopt the last server's m recommendation for the next
          round.  The wire protocol does not carry [proposed_m], so a
          TCP deployment keeps its configured m. *)
-      (match t.backend with
-      | Local c -> if t.auto_tune_m then t.m <- max 1 (Chain.proposed_m c)
-      | Tcp _ -> ());
+      (match t.backend.proposed_m () with
+      | Some m when t.auto_tune_m -> t.m <- max 1 m
+      | _ -> ());
       (* Only completed rounds enter the download schedule; the bound
          matches the last server's invitation retention. *)
       t.m_history <-
@@ -887,9 +788,6 @@ let run ?(blocked = fun _ -> false) ?late ~kind (t : t) =
   match (kind : Round.kind) with
   | Round.Conversation -> run_conversation ?late ~participants t
   | Round.Dialing -> run_dialing ?late ~participants t
-
-let run_round ?blocked t = run ?blocked ~kind:Round.Conversation t
-let run_dialing_round ?blocked t = run ?blocked ~kind:Round.Dialing t
 
 (* Convenience: run n conversation rounds, collecting the reports. *)
 let run_rounds ?blocked ?late t n =

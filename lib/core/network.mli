@@ -1,6 +1,9 @@
-(** A complete in-process deployment: chain + entry server + clients +
-    round clock, run by a supervisor with deadlines, bounded retries,
-    and fault injection for the active adversary. *)
+(** A complete deployment: chain + entry server + clients + round
+    clock, run by a supervisor with deadlines, bounded retries, and
+    fault injection for the active adversary.  The chain is one backend
+    signature with two implementations — an in-process {!Chain}
+    ({!of_config}) or a {!Remote} to [vuvuzela-server] daemons
+    ({!of_config_tcp}) — and the supervisor never asks which. *)
 
 module Config = Config
 (** The deployment configuration record; see {!Config.default} and the
@@ -12,9 +15,9 @@ val of_config : Config.t -> t
 (** An in-process deployment from a {!Config.t}.  Defaults are sized for
     tests (tiny noise); production parameters come from
     {!Vuvuzela_dp.Composition.noise_for_target}.  [jobs] sets the
-    chain's crypto parallelism and [pipeline] relays forward batches
-    between servers as streamed parts; results are bit-identical at any
-    job count, pipelined or lockstep.
+    chain's crypto parallelism and [pipeline] the part size (entry →
+    server 0 and server → server; each batch is one part otherwise);
+    results are bit-identical at any job count and any part size.
 
     [fault_plan] arms deterministic fault injection at the chain's link
     boundaries and [tap] observes every forward batch on the wire (see
@@ -49,54 +52,17 @@ val of_config_tcp : Config.t -> addr:Unix.sockaddr -> (t, string) result
     [round_deadline_ms] additionally bounds the wait for each results
     frame, so a dead link surfaces as a retryable transport status
     instead of blocking.  With [pipeline] set, entry batches leave the
-    coordinator as streamed [*_batch_part] frames of [pipeline_chunk]
-    onions.  [Error] if the chain cannot be reached within
-    [handshake_timeout_ms]. *)
-
-val create :
-  ?seed:string ->
-  ?n_servers:int ->
-  ?noise:Vuvuzela_dp.Laplace.params ->
-  ?dial_noise:Vuvuzela_dp.Laplace.params ->
-  ?noise_mode:Vuvuzela_dp.Noise.mode ->
-  ?dial_kind:Dialing.kind ->
-  ?jobs:int ->
-  ?cdn_edges:int ->
-  ?fault_plan:Vuvuzela_faults.Fault.plan ->
-  ?tap:(round:int -> server:int -> bytes array -> unit) ->
-  ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
-  ?budget_warn:float ->
-  ?round_deadline_ms:float ->
-  ?max_retries:int ->
-  unit ->
-  t
-[@@ocaml.deprecated "use Network.of_config with a Network.Config.t"]
-(** @deprecated The keyword-argument constructor; equivalent to
-    {!of_config} on {!Config.default} with the given fields. *)
-
-val create_tcp :
-  ?noise:Vuvuzela_dp.Laplace.params ->
-  ?dial_noise:Vuvuzela_dp.Laplace.params ->
-  ?dial_kind:Dialing.kind ->
-  ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
-  ?budget_warn:float ->
-  ?round_deadline_ms:float ->
-  ?max_retries:int ->
-  ?handshake_timeout_ms:float ->
-  addr:Unix.sockaddr ->
-  unit ->
-  (t, string) result
-[@@ocaml.deprecated "use Network.of_config_tcp with a Network.Config.t"]
-(** @deprecated The keyword-argument constructor; equivalent to
-    {!of_config_tcp} on {!Config.default} with the given fields. *)
+    coordinator as parts of [pipeline_chunk] onions (the daemons choose
+    their own forward part size).  [Error] if the chain cannot be
+    reached within [handshake_timeout_ms]. *)
 
 val chain : t -> Chain.t
 (** The in-process chain.
-    @raise Invalid_argument on a {!create_tcp} deployment — the servers
-    live in other processes. *)
+    @raise Invalid_argument on an {!of_config_tcp} deployment — the
+    servers live in other processes. *)
 
 val is_remote : t -> bool
-(** [true] iff this deployment came from {!create_tcp}. *)
+(** [true] iff this deployment came from {!of_config_tcp}. *)
 
 val telemetry : t -> Vuvuzela_telemetry.Telemetry.t option
 (** The sink the deployment was created with, if any. *)
@@ -156,20 +122,9 @@ val client_latency : t -> (float * float) option
 val cdn_stats : t -> Cdn.stats option
 (** Present when the deployment was created with [cdn_edges > 0]. *)
 
-val set_entry_streaming : t -> bool -> unit
-(** Scale plane: collect each round's requests through a streaming
-    {!Entry} collector that feeds the chain in chunks of
-    {!entry_chunk} onions (in-process: {!Chain}'s streamed-entry
-    rounds; TCP: streamed [*_batch_part] frames with one chunk of
-    lookahead), so no tier ever materializes the whole batch.  Results
-    and transcripts are bit-identical to the materializing path; the
-    report's [peak_buffered] shows the bound.  Defaults to
-    [Config.entry_streaming]. *)
-
-val entry_streaming : t -> bool
-
 val entry_chunk : t -> int
-(** Onions per streamed entry chunk (= [Config.pipeline_chunk]). *)
+(** Onions per entry chunk: [Config.pipeline_chunk] when pipelined,
+    [max_int] (the whole round in one part) otherwise. *)
 
 val connect :
   ?seed:string ->
@@ -195,19 +150,21 @@ type round_report = {
           instead. *)
   batch_size : int;  (** requests the entry server forwarded *)
   peak_buffered : int;
-      (** most onions the entry server held at once: [batch_size] when
-          it materialized the batch, at most the configured chunk when
-          it streamed (the scale plane's memory bound) *)
+      (** most onions the entry server held at once: at most the part
+          size when pipelined (the scale plane's memory bound),
+          [batch_size] otherwise *)
   admitted : int;
       (** clients inside the last attempt's admission window (= all
           participants when no window is configured) *)
   late : int;
       (** clients excluded as stragglers on the last attempt; each got
           a [Round_late] event and its payload was requeued *)
-  wire_bytes : int;  (** size of the entry → first-server batch frame *)
+  wire_bytes : int;
+      (** size of the entry → first-server batch as one part frame *)
   elapsed_ms : float;
-      (** wall clock for the last attempt's chain round trip, plus any
-          injected virtual link delay *)
+      (** wall clock for the last attempt — client request build and
+          the chain round trip, which overlap — plus any injected
+          virtual link delay *)
   confirmed_acks : int;
       (** dialing rounds: acks that unwrapped to the expected fixed
           plaintext; [0] for conversation rounds *)
@@ -265,14 +222,6 @@ val run :
     a client blocked across dialing rounds still receives its
     invitations later.  An aborted attempt requeues each participant's
     invitation for the retry. *)
-
-val run_round : ?blocked:(Client.t -> bool) -> t -> round_report
-[@@ocaml.deprecated "use Network.run ~kind:Round.Conversation"]
-(** @deprecated Alias for {!run}[ ~kind:Round.Conversation]. *)
-
-val run_dialing_round : ?blocked:(Client.t -> bool) -> t -> round_report
-[@@ocaml.deprecated "use Network.run ~kind:Round.Dialing"]
-(** @deprecated Alias for {!run}[ ~kind:Round.Dialing]. *)
 
 val run_rounds :
   ?blocked:(Client.t -> bool) ->

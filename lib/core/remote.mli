@@ -5,9 +5,9 @@
     The coordinator dials server 0 ([Hello] with index -1), learns the
     full public-key list from the handshake reply ([Chain_info] — each
     server learned its suffix the same way from its successor), then
-    drives lockstep rounds: send a batch frame, pump the event loop
-    until the results frame (or a typed [Status], or the deadline)
-    comes back.  Connection loss is never fatal here — the transport
+    drives rounds as the relay protocol's entry: stream the batch as
+    part frames ({!Relay.entry}), pump the event loop until the results
+    frame (or a typed [Status], or the deadline) comes back.  Connection loss is never fatal here — the transport
     redials under backoff while failures surface per round as retryable
     {!Rpc.transport_error} statuses for the supervisor's existing
     abort/retry machinery. *)
@@ -41,22 +41,6 @@ val length : t -> int
 val public_keys : t -> bytes list
 
 val set_deadline_ms : t -> float option -> unit
-val deadline_ms : t -> float option
-
-val set_pipeline : t -> int option -> unit
-(** [Some chunk] (clamped ≥ 1): send entry batches as streamed
-    [*_batch_part] frames of [chunk] onions each, so the first hop
-    peels early parts while later ones are still crossing the wire.
-    [None] (the default) sends one whole-batch frame.  The daemons
-    accept both framings on any round; results are bit-identical. *)
-
-val pipeline : t -> int option
-
-val set_flap_grace_ms : t -> float -> unit
-(** Change the mid-round flap tolerance (clamped ≥ 0; [0.] restores
-    fail-on-drop). *)
-
-val flap_grace_ms : t -> float
 
 val set_trace_ctx : t -> Vuvuzela_telemetry.Trace.context option -> unit
 (** Announce this context to the first hop ahead of the next round's
@@ -65,29 +49,18 @@ val set_trace_ctx : t -> Vuvuzela_telemetry.Trace.context option -> unit
     [None] stops announcing.  Pure control plane: transcripts cover
     request/reply bytes only, so this never perturbs a digest. *)
 
-val conversation_round :
-  t -> round:int -> bytes array -> (bytes array, Rpc.status) result
-(** Same contract as {!Chain.conversation_round}, including the
-    entry-server ingress policy (wrong-sized requests replaced with
-    random bytes of the right size).  [Error] is a typed status: one a
-    server sent in place of results, or a local
-    {!Rpc.transport_error}/deadline for a link that failed silently. *)
-
-val dialing_round :
-  t -> round:int -> m:int -> bytes array -> (bytes array, Rpc.status) result
-
 val conversation_round_streamed :
   t ->
   round:int ->
   produce:((bytes array -> unit) -> unit) ->
   (bytes array, Rpc.status) result
-(** Streamed-entry variant (same contract as
-    {!Chain.conversation_round_streamed}): each producer chunk leaves
-    as one [Conv_batch_part] frame with one chunk of lookahead (so the
-    final part carries [last]), bounding the coordinator's buffered
-    onions at two chunks while the first hop peels early parts.
-    Results are bit-identical to {!conversation_round} on the chunk
-    concatenation. *)
+(** Same contract as {!Chain.conversation_round_streamed}: each
+    producer chunk leaves as one [Conv_batch_part] frame with one chunk
+    of lookahead (so the final part carries [last]), bounding the
+    coordinator's buffered onions at two chunks while the first hop
+    peels early parts.  [Error] is a typed status: one a server sent in
+    place of results, or a local {!Rpc.transport_error}/deadline for a
+    link that failed silently. *)
 
 val dialing_round_streamed :
   t ->
@@ -96,12 +69,10 @@ val dialing_round_streamed :
   produce:((bytes array -> unit) -> unit) ->
   (bytes array, Rpc.status) result
 
-val abort_round : t -> round:int -> unit
+val abort : t -> round:int -> dialing:bool -> unit
 (** Best-effort [Abort] frame, forwarded hop to hop; a link that is
     down simply misses it (stale round state on a server is inert —
     every retry uses a fresh round number). *)
-
-val abort_dialing_round : t -> round:int -> unit
 
 val fetch_invitations : t -> dial_round:int -> index:int -> bytes list
 (** Download one invitation drop from the last server (relayed down the
@@ -114,5 +85,3 @@ val stats : t -> Vuvuzela_transport.Conn.stats
 
 val shutdown : t -> unit
 (** Send [Bye] down the chain and close.  Idempotent. *)
-
-val is_shut_down : t -> bool

@@ -25,18 +25,8 @@ type status = {
 }
 
 type message =
-  | Round_announce of { round : int; deadline_ms : int }
-      (** first server → clients: a conversation round is open (§3.1
-          "announcing the start of a round ... waiting a fixed amount of
-          time") *)
-  | Dial_announce of { dial_round : int; m : int }
-      (** first server → clients: dialing round parameters, including
-          the §5.4-tuned drop count *)
-  | Conv_batch of { round : int; onions : bytes array }
-      (** entry → server 1, or server i → server i+1 (forward) *)
   | Conv_results of { round : int; replies : bytes array }
       (** backward pass *)
-  | Dial_batch of { round : int; m : int; onions : bytes array }
   | Dial_results of { round : int; replies : bytes array }
   | Fetch_drop of { dial_round : int; index : int }
       (** client → last server (or CDN): download an invitation drop *)
@@ -61,20 +51,20 @@ type message =
       last : bool;
       onions : bytes array;
     }
-      (** pipelined relay: one contiguous chunk of a [Conv_batch], sent
-          as soon as the upstream server has produced it so the receiver
-          peels while the rest of the batch is still being computed.
-          Parts arrive in [seq] order on a single ordered link; the part
-          with [last = true] closes the batch.  Reassembling the parts
-          of a round yields exactly the [Conv_batch] the lockstep relay
-          would have sent. *)
+      (** entry → server 0, or server i → server i+1 (forward): one
+          contiguous chunk of a round's batch, sent as soon as the
+          upstream hop has produced it so the receiver peels while the
+          rest of the batch is still being computed.  Parts arrive in
+          [seq] order on a single ordered link; the part with
+          [last = true] closes the batch.  An unpipelined hop sends its
+          whole batch as one part. *)
   | Dial_batch_part of {
       round : int;
       m : int;
       seq : int;
       last : bool;
       onions : bytes array;
-    }  (** pipelined chunk of a [Dial_batch]; [m] repeats on every part *)
+    }  (** a dialing round's part; [m] repeats on every part *)
   | Trace_ctx of { ctx : bytes }
       (** observability control frame, sent immediately before a batch:
           an opaque [Trace.context] blob naming the sender's open span so
@@ -83,12 +73,10 @@ type message =
           that never sends it, or sends garbage, costs nothing but the
           cross-process parent link. *)
 
+(* Tags 1, 2, 3 and 5 are retired: never reused, so a peer speaking
+   them gets a clean unknown-tag rejection. *)
 let tag_of = function
-  | Round_announce _ -> 1
-  | Dial_announce _ -> 2
-  | Conv_batch _ -> 3
   | Conv_results _ -> 4
-  | Dial_batch _ -> 5
   | Dial_results _ -> 6
   | Fetch_drop _ -> 7
   | Drop_contents _ -> 8
@@ -135,22 +123,9 @@ let encode msg =
       Wire.Writer.u8 w version;
       Wire.Writer.u8 w (tag_of msg);
       match msg with
-      | Round_announce { round; deadline_ms } ->
-          Wire.Writer.u64 w round;
-          Wire.Writer.u32 w deadline_ms
-      | Dial_announce { dial_round; m } ->
-          Wire.Writer.u64 w dial_round;
-          Wire.Writer.u32 w m
-      | Conv_batch { round; onions } ->
-          Wire.Writer.u64 w round;
-          write_batch w onions
       | Conv_results { round; replies } ->
           Wire.Writer.u64 w round;
           write_batch w replies
-      | Dial_batch { round; m; onions } ->
-          Wire.Writer.u64 w round;
-          Wire.Writer.u32 w m;
-          write_batch w onions
       | Dial_results { round; replies } ->
           Wire.Writer.u64 w round;
           write_batch w replies
@@ -204,24 +179,9 @@ let decode b =
       if v <> version then
         raise (Wire.Error (Printf.sprintf "Rpc.decode: version %d" v));
       match Wire.Reader.u8 r with
-      | 1 ->
-          let round = Wire.Reader.u64 r in
-          let deadline_ms = Wire.Reader.u32 r in
-          Round_announce { round; deadline_ms }
-      | 2 ->
-          let dial_round = Wire.Reader.u64 r in
-          let m = Wire.Reader.u32 r in
-          Dial_announce { dial_round; m }
-      | 3 ->
-          let round = Wire.Reader.u64 r in
-          Conv_batch { round; onions = read_batch r }
       | 4 ->
           let round = Wire.Reader.u64 r in
           Conv_results { round; replies = read_batch r }
-      | 5 ->
-          let round = Wire.Reader.u64 r in
-          let m = Wire.Reader.u32 r in
-          Dial_batch { round; m; onions = read_batch r }
       | 6 ->
           let round = Wire.Reader.u64 r in
           Dial_results { round; replies = read_batch r }
@@ -277,14 +237,7 @@ let decode b =
 
 let equal_message a b =
   match (a, b) with
-  | ( Round_announce { round = r1; deadline_ms = d1 },
-      Round_announce { round = r2; deadline_ms = d2 } ) -> r1 = r2 && d1 = d2
-  | ( Dial_announce { dial_round = r1; m = m1 },
-      Dial_announce { dial_round = r2; m = m2 } ) -> r1 = r2 && m1 = m2
-  | Conv_batch x, Conv_batch y -> x.round = y.round && x.onions = y.onions
   | Conv_results x, Conv_results y -> x.round = y.round && x.replies = y.replies
-  | Dial_batch x, Dial_batch y ->
-      x.round = y.round && x.m = y.m && x.onions = y.onions
   | Dial_results x, Dial_results y -> x.round = y.round && x.replies = y.replies
   | ( Fetch_drop { dial_round = r1; index = i1 },
       Fetch_drop { dial_round = r2; index = i2 } ) -> r1 = r2 && i1 = i2
@@ -306,9 +259,9 @@ let equal_message a b =
   | Trace_ctx { ctx = c1 }, Trace_ctx { ctx = c2 } -> c1 = c2
   | _ -> false
 
-(* Split a logical batch into the contiguous slices the pipelined relay
-   ships as [*_batch_part] frames.  An empty batch is one empty part so
-   a [last = true] frame always closes the round. *)
+(* Split a logical batch into the contiguous slices a hop ships as
+   part frames.  An empty batch is one empty part so a [last = true]
+   frame always closes the round. *)
 let split_parts ~chunk onions =
   let n = Array.length onions in
   if n = 0 then [| onions |]
@@ -318,12 +271,20 @@ let split_parts ~chunk onions =
     Array.init parts (fun p ->
         Array.sub onions (p * chunk) (min chunk (n - (p * chunk))))
 
-(* Byte size of a message on the wire without building it (used by the
-   cost model's bandwidth accounting and the round reports). *)
-let conv_batch_bytes ~count ~item_len = 4 + 1 + 1 + 8 + 4 + 4 + (count * item_len)
+let part ?m ~round ~seq ~last onions =
+  match m with
+  | None -> Conv_batch_part { round; seq; last; onions }
+  | Some m -> Dial_batch_part { round; m; seq; last; onions }
 
-(* A [Dial_batch] additionally carries the u32 drop count [m]. *)
-let dial_batch_bytes ~count ~item_len = conv_batch_bytes ~count ~item_len + 4
+let results ~dialing ~round replies =
+  if dialing then Dial_results { round; replies }
+  else Conv_results { round; replies }
+
+(* Byte size of a part frame without building it (the round reports'
+   wire accounting): header, round, seq, last flag, batch header, and
+   the dialing part's extra u32 [m]. *)
+let part_bytes ~dialing ~count ~item_len =
+  4 + 1 + 1 + 8 + 4 + 1 + 4 + 4 + (if dialing then 4 else 0) + (count * item_len)
 
 let pp_status ppf { round; server; stage; detail } =
   Format.fprintf ppf "round %d: server %d [%s]: %s" round server stage detail

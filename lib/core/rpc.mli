@@ -14,11 +14,7 @@ type status = {
     the connection. *)
 
 type message =
-  | Round_announce of { round : int; deadline_ms : int }
-  | Dial_announce of { dial_round : int; m : int }
-  | Conv_batch of { round : int; onions : bytes array }
   | Conv_results of { round : int; replies : bytes array }
-  | Dial_batch of { round : int; m : int; onions : bytes array }
   | Dial_results of { round : int; replies : bytes array }
   | Fetch_drop of { dial_round : int; index : int }
   | Drop_contents of {
@@ -44,19 +40,20 @@ type message =
       last : bool;
       onions : bytes array;
     }
-      (** pipelined relay: one contiguous chunk of a [Conv_batch], sent
-          as soon as the upstream hop has produced it.  Parts of a round
-          arrive in [seq] order on a single ordered link; [last = true]
-          closes the batch.  Concatenating a round's parts yields
-          exactly the [Conv_batch] the lockstep relay would have sent,
-          which is why the pipelined mode is bit-identical. *)
+      (** the only forward framing: one contiguous chunk of a round's
+          batch, sent as soon as the upstream hop has produced it.
+          Parts of a round arrive in [seq] order on a single ordered
+          link; [last = true] closes the batch.  An unpipelined hop
+          sends its whole batch as one part; concatenating a round's
+          parts yields the same batch at any part size, which is why
+          every part size is bit-identical. *)
   | Dial_batch_part of {
       round : int;
       m : int;
       seq : int;
       last : bool;
       onions : bytes array;
-    }  (** pipelined chunk of a [Dial_batch]; [m] repeats on every part *)
+    }  (** a dialing round's part; [m] repeats on every part *)
   | Trace_ctx of { ctx : bytes }
       (** observability control frame (tag 16), sent immediately before
           a batch: an opaque {!Vuvuzela_telemetry.Trace.context} blob
@@ -76,16 +73,21 @@ val decode : bytes -> (message, string) result
 val equal_message : message -> message -> bool
 
 val split_parts : chunk:int -> bytes array -> bytes array array
-(** Split a logical batch into the ≤[chunk]-sized contiguous slices the
-    pipelined relay ships as [*_batch_part] frames ([chunk] clamped
-    ≥ 1).  An empty batch yields one empty part, so every round is
-    closed by a [last = true] frame. *)
+(** Split a logical batch into the ≤[chunk]-sized contiguous slices a
+    hop ships as part frames ([chunk] clamped ≥ 1).  An empty batch
+    yields one empty part, so every round is closed by a [last = true]
+    frame. *)
 
-val conv_batch_bytes : count:int -> item_len:int -> int
-(** Exact wire size of a [Conv_batch], for bandwidth accounting. *)
+val part :
+  ?m:int -> round:int -> seq:int -> last:bool -> bytes array -> message
+(** A [Conv_batch_part], or a [Dial_batch_part] when [m] is given. *)
 
-val dial_batch_bytes : count:int -> item_len:int -> int
-(** Exact wire size of a [Dial_batch]. *)
+val results : dialing:bool -> round:int -> bytes array -> message
+(** [Conv_results] or [Dial_results]. *)
+
+val part_bytes : dialing:bool -> count:int -> item_len:int -> int
+(** Exact wire size of one part frame carrying [count] items, for
+    bandwidth accounting. *)
 
 val pp_status : Format.formatter -> status -> unit
 

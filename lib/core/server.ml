@@ -140,7 +140,6 @@ let par_mapi t f a =
   match t.pool with Some p -> Pool.mapi_array p f a | None -> Array.mapi f a
 
 let proposed_m t = t.proposed_m
-let dial_kind t = t.cfg.dial_kind
 
 (* How many past dialing rounds' invitation stores the last server keeps
    on hand, so a briefly-blocked client can still download the drops it
@@ -158,12 +157,11 @@ let downstream t = t.cfg.chain_len - t.cfg.position - 1
 (* Streaming peel                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A round's ingress is a stream: the pipelined relay feeds the batch in
-   contiguous chunks as they come off the wire, and the expensive peel
-   happens per chunk — so this server overlaps its DH + AEAD work with
-   the upstream server still producing the rest of the batch.  The
-   lockstep path uses the same machinery with a single chunk, so the two
-   modes share every line of ingress logic.
+(* A round's ingress is a stream: the relay feeds the batch in contiguous
+   chunks as they come off the wire, and the expensive peel happens per
+   chunk — so this server overlaps its DH + AEAD work with the upstream
+   server still producing the rest of the batch.  A batch sent as one
+   part is a stream of a single chunk.
 
    Determinism: chunks arrive in slot order on one ordered link, the
    dedup table and valid-index counter persist across feeds, and the
@@ -180,9 +178,6 @@ type stream = {
   mutable s_n_valid : int;
   mutable s_n_in : int;
 }
-
-let stream_round st = st.s_round
-let stream_dialing st = st.s_dialing
 
 (* Expected request size arriving at this server: the payload plus one
    onion layer per remaining server. *)
@@ -408,7 +403,7 @@ let conv_noise t ~round =
    thunk runs exactly once, in place, so the DRBG stream is identical
    with telemetry on or off, pipelined or not. *)
 let conv_finish_forward t st =
-  if is_last t then invalid_arg "Server.conv_forward: last server";
+  if is_last t then invalid_arg "Server.conv_finish_forward: last server";
   if st.s_dialing then
     invalid_arg "Server.conv_finish_forward: dialing stream";
   let round = st.s_round in
@@ -430,18 +425,14 @@ let conv_finish_forward t st =
       shuffle_and_record t t.conv_rounds ~round ~slots ~reply_payload_len
         (Array.append inners noise))
 
-let conv_forward t ~round onions =
-  let st = conv_stream t ~round in
-  stream_feed t st onions;
-  conv_finish_forward t st
-
 let conv_backward t ~round results =
   unshuffle_and_reply t t.conv_rounds ~round ~dialing:false results
 
 (* The last server: dead-drop matching over the streamed ingress, record
    the observable histogram, seal results (Algorithm 2 steps 3b/4). *)
 let conv_finish_exchange t st =
-  if not (is_last t) then invalid_arg "Server.conv_exchange: not last server";
+  if not (is_last t) then
+    invalid_arg "Server.conv_finish_exchange: not last server";
   if st.s_dialing then
     invalid_arg "Server.conv_finish_exchange: dialing stream";
   let round = st.s_round in
@@ -493,11 +484,6 @@ let conv_finish_exchange t st =
       | Invalid -> dummies.(i))
     slots
 
-let conv_exchange t ~round onions =
-  let st = conv_stream t ~round in
-  stream_feed t st onions;
-  conv_finish_exchange t st
-
 (* ------------------------------------------------------------------ *)
 (* Dialing protocol                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -522,7 +508,7 @@ let dial_noise t ~round ~m =
   wrap_noise_specs t ~round (Array.of_list !out)
 
 let dial_finish_forward t st ~m =
-  if is_last t then invalid_arg "Server.dial_forward: last server";
+  if is_last t then invalid_arg "Server.dial_finish_forward: last server";
   if not st.s_dialing then
     invalid_arg "Server.dial_finish_forward: conversation stream";
   let round = st.s_round in
@@ -541,11 +527,6 @@ let dial_finish_forward t st ~m =
       shuffle_and_record t t.dial_rounds ~round ~slots ~reply_payload_len
         (Array.append inners noise))
 
-let dial_forward t ~round ~m onions =
-  let st = dial_stream t ~round in
-  stream_feed t st onions;
-  dial_finish_forward t st ~m
-
 let dial_backward t ~round results =
   unshuffle_and_reply t t.dial_rounds ~round ~dialing:true results
 
@@ -554,7 +535,8 @@ let dial_ack = Bytes.make Types.dial_result_len '\x01'
 (* Last server: file invitations into drops, add its own per-drop noise
    (the last server's noise need not transit the mixnet), ack. *)
 let dial_finish_deliver t st ~m =
-  if not (is_last t) then invalid_arg "Server.dial_deliver: not last server";
+  if not (is_last t) then
+    invalid_arg "Server.dial_finish_deliver: not last server";
   if not st.s_dialing then
     invalid_arg "Server.dial_finish_deliver: conversation stream";
   let round = st.s_round in
@@ -630,11 +612,6 @@ let dial_finish_deliver t st ~m =
       | Invalid -> dummies.(i))
     slots
 
-let dial_deliver t ~round ~m onions =
-  let st = dial_stream t ~round in
-  stream_feed t st onions;
-  dial_finish_deliver t st ~m
-
 (* Clients download invitation drops directly (§5.5: fetches need no
    mixing or noising, and would be served by a CDN at scale).  Without
    [dial_round] the newest store answers; with it, a client that missed
@@ -648,11 +625,6 @@ let fetch_invitations ?dial_round t ~index =
   match invitation_store t dial_round with
   | None -> []
   | Some store -> Deaddrop.Invitation.fetch store ~index
-
-let invitation_drop_size ?dial_round t ~index =
-  match invitation_store t dial_round with
-  | None -> 0
-  | Some store -> Deaddrop.Invitation.size store ~index
 
 (* ------------------------------------------------------------------ *)
 (* Round aborts                                                        *)

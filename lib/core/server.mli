@@ -61,7 +61,6 @@ val shutdown : t -> unit
 (** Join the server's own worker domains, if it created any.  A shared
     [?pool] is the chain's to shut down.  Idempotent. *)
 
-val dial_kind : t -> Dialing.kind
 val is_last : t -> bool
 val metrics : t -> metrics
 
@@ -70,16 +69,14 @@ val last_histogram : t -> Deaddrop.histogram option
     in the most recent conversation round — exactly the adversary's view
     (§4.2). *)
 
-(** {2 Streamed ingress}
+(** {2 Rounds}
 
-    The pipelined relay feeds a round's batch to a server in contiguous
-    chunks as they come off the wire, so the expensive per-onion peel
-    overlaps with the upstream server still producing the rest of the
-    batch.  Start a stream, feed it every chunk in slot order, then call
-    the matching [*_finish_*] exactly once.  The one-shot entry points
-    below ({!conv_forward} etc.) are these three steps with a single
-    chunk, so lockstep and pipelined relays share every line of ingress
-    logic and produce bit-identical results. *)
+    The relay feeds a round's batch to a server in contiguous chunks as
+    they come off the wire, so the expensive per-onion peel overlaps
+    with the upstream server still producing the rest of the batch.
+    Start a stream, feed it every chunk in slot order, then call the
+    matching [*_finish_*] exactly once.  The result is bit-identical at
+    any chunking. *)
 
 type stream
 (** Incremental peel state for one round on one server: the dedup table,
@@ -91,43 +88,27 @@ val dial_stream : t -> round:int -> stream
 val stream_feed : t -> stream -> bytes array -> unit
 (** Peel one contiguous chunk (size-check, dedup against the whole
     round so far, fan the DH + AEAD out over the pool).  Chunks must
-    arrive in slot order. *)
-
-val stream_round : stream -> int
-val stream_dialing : stream -> bool
+    arrive in slot order.  Invalid onions are dropped from the
+    forwarded batch but keep their reply slot. *)
 
 val conv_finish_forward : t -> stream -> bytes array
-(** Mixing server: noise + shuffle over everything fed so far; returns
-    the outgoing batch.  Equals [conv_forward] on the concatenation of
-    the fed chunks. *)
+(** Mixing server: add cover traffic and shuffle everything fed so far;
+    returns the outgoing batch. *)
 
 val conv_finish_exchange : t -> stream -> bytes array
 (** Last server: dead-drop matching + reseal over everything fed. *)
-
-val dial_finish_forward : t -> stream -> m:int -> bytes array
-val dial_finish_deliver : t -> stream -> m:int -> bytes array
-
-(** {2 Conversation rounds} *)
-
-val conv_forward : t -> round:int -> bytes array -> bytes array
-(** Mixing server: peel, add cover traffic, shuffle.  Invalid onions are
-    dropped from the forwarded batch but keep their reply slot. *)
 
 val conv_backward : t -> round:int -> bytes array -> bytes array
 (** Mixing server: unshuffle, discard own noise, seal replies.
     @raise Invalid_argument for an unknown round or wrong batch size. *)
 
-val conv_exchange : t -> round:int -> bytes array -> bytes array
-(** Last server: peel, match dead drops, seal results. *)
+val dial_finish_forward : t -> stream -> m:int -> bytes array
 
-(** {2 Dialing rounds} *)
-
-val dial_forward : t -> round:int -> m:int -> bytes array -> bytes array
-val dial_backward : t -> round:int -> bytes array -> bytes array
-
-val dial_deliver : t -> round:int -> m:int -> bytes array -> bytes array
+val dial_finish_deliver : t -> stream -> m:int -> bytes array
 (** Last server: file invitations into the [m] drops, add its own noise,
     return fixed-size acks. *)
+
+val dial_backward : t -> round:int -> bytes array -> bytes array
 
 val proposed_m : t -> int
 (** The last server's §5.4 recommendation for the next dialing round's
@@ -139,8 +120,6 @@ val fetch_invitations : ?dial_round:int -> t -> index:int -> bytes list
     Defaults to the most recent dialing round; [?dial_round] reaches any
     of the last {!invitation_history} rounds' stores, so a
     briefly-blocked client can catch up on the invitations it missed. *)
-
-val invitation_drop_size : ?dial_round:int -> t -> index:int -> int
 
 val invitation_history : int
 (** How many past dialing rounds' invitation stores the last server

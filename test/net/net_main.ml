@@ -1,17 +1,19 @@
 (* Loopback multi-process deployment: 3 forked server daemons, a
    coordinator in this process, real TCP on 127.0.0.1.
 
-   The checks mirror the ISSUE's acceptance gate:
+   The checks:
    - a seeded 3-server deployment runs 3 conversation rounds and a
-     dialing round whose wire transcript digest is bit-identical to the
-     in-process chain's (and to the pinned constant) — lockstep, and
-     again with every link streaming chunked batch parts;
+     dialing round whose wire transcript digests are bit-identical to
+     the in-process chain's (and to the pinned constants) — at every
+     row of the engine matrix (jobs × part size × dead-drop shards);
    - a full [Network.of_config_tcp] deployment delivers messages and
      confirms dialing acks over the supervisor;
    - a crash fault at a middle server is survived by the supervisor's
      retry path within [max_retries];
    - a middle server killed with SIGKILL and restarted from its seed is
-     survived the same way.
+     survived the same way;
+   - a daemon with tracing off passes the upstream trace context on,
+     so the hop beyond it still parents into the hop before it.
 
    Plain executable: forking is only safe in a process that never
    spawned a domain, so this cannot live inside the alcotest binary. *)
@@ -168,6 +170,14 @@ let with_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed f =
 (* 1. Transcript parity: TCP chain ≡ in-process chain, bit for bit     *)
 (* ------------------------------------------------------------------ *)
 
+(* The pinned schedule over a remote chain, each batch fed in chunks of
+   [part] onions. *)
+let remote_backend ?part remote =
+  Transcript_pin.streamed ~pks:(Remote.public_keys remote) ?part
+    ~conv:(Remote.conversation_round_streamed remote)
+    ~dial:(Remote.dialing_round_streamed remote)
+    ()
+
 let test_transcript_parity () =
   print_endline "transcript parity (3 conv rounds + 1 dialing round):";
   with_chain ~seed:Transcript_pin.seed (fun ports ->
@@ -179,24 +189,7 @@ let test_transcript_parity () =
       | Error e -> check ("remote connect: " ^ e) false
       | Ok remote ->
           Remote.set_deadline_ms remote (Some 30_000.);
-          let fail_status st =
-            failwith (Format.asprintf "%a" Rpc.pp_status st)
-          in
-          let backend =
-            {
-              Transcript_pin.pks = Remote.public_keys remote;
-              conversation_round =
-                (fun ~round requests ->
-                  match Remote.conversation_round remote ~round requests with
-                  | Ok replies -> replies
-                  | Error st -> fail_status st);
-              dialing_round =
-                (fun ~round ~m requests ->
-                  match Remote.dialing_round remote ~round ~m requests with
-                  | Ok acks -> acks
-                  | Error st -> fail_status st);
-            }
-          in
+          let backend = remote_backend remote in
           check "3 server public keys over handshake"
             (List.length backend.Transcript_pin.pks = chain_len);
           let tcp_digest = Transcript_pin.full_digest backend in
@@ -216,56 +209,16 @@ let test_transcript_parity () =
           Remote.shutdown remote)
 
 (* ------------------------------------------------------------------ *)
-(* 1b. Same parity with every link streaming chunked batch parts       *)
+(* 1b. The engine matrix over real daemons: every row, both pins       *)
 (* ------------------------------------------------------------------ *)
 
-let test_transcript_parity_pipelined () =
-  print_endline "pipelined transcript parity (chunk 4 on every link):";
-  with_chain ~pipeline_chunk:4 ~seed:Transcript_pin.seed (fun ports ->
-      match
-        Remote.connect ~handshake_timeout_ms:20_000.
-          ~addr:(Addr.loopback ~port:ports.(0))
-          ()
-      with
-      | Error e -> check ("remote connect: " ^ e) false
-      | Ok remote ->
-          Remote.set_deadline_ms remote (Some 30_000.);
-          Remote.set_pipeline remote (Some 4);
-          let fail_status st =
-            failwith (Format.asprintf "%a" Rpc.pp_status st)
-          in
-          let backend =
-            {
-              Transcript_pin.pks = Remote.public_keys remote;
-              conversation_round =
-                (fun ~round requests ->
-                  match Remote.conversation_round remote ~round requests with
-                  | Ok replies -> replies
-                  | Error st -> fail_status st);
-              dialing_round =
-                (fun ~round ~m requests ->
-                  match Remote.dialing_round remote ~round ~m requests with
-                  | Ok acks -> acks
-                  | Error st -> fail_status st);
-            }
-          in
-          let tcp_digest = Transcript_pin.full_digest backend in
-          check_str "pipelined loopback digest = pinned digest"
-            Transcript_pin.pinned_full_digest tcp_digest;
-          Remote.shutdown remote)
-
-(* ------------------------------------------------------------------ *)
-(* 1c. Scale-plane parity: sharded dead drops + streamed entry tier    *)
-(*     over real daemons, at jobs 1 and 4 — still the pinned bytes     *)
-(* ------------------------------------------------------------------ *)
-
-let test_transcript_parity_scale_plane () =
+let test_transcript_matrix () =
   print_endline
-    "scale-plane transcript parity (4 dead-drop shards, streamed entry):";
+    "transcript matrix over TCP (jobs x part size x dead-drop shards):";
   List.iter
-    (fun jobs ->
-      with_chain ~pipeline_chunk:4 ~jobs ~deaddrop_shards:4
-        ~seed:Transcript_pin.seed (fun ports ->
+    (fun (row : Transcript_pin.row) ->
+      with_chain ?pipeline_chunk:row.part ~jobs:row.jobs
+        ~deaddrop_shards:row.shards ~seed:Transcript_pin.seed (fun ports ->
           match
             Remote.connect ~handshake_timeout_ms:20_000.
               ~addr:(Addr.loopback ~port:ports.(0))
@@ -274,50 +227,16 @@ let test_transcript_parity_scale_plane () =
           | Error e -> check ("remote connect: " ^ e) false
           | Ok remote ->
               Remote.set_deadline_ms remote (Some 30_000.);
-              let fail_status st =
-                failwith (Format.asprintf "%a" Rpc.pp_status st)
+              let conv, full =
+                Transcript_pin.digests (remote_backend ?part:row.part remote)
               in
-              (* Awkward chunk size on purpose: the last part is a
-                 short tail, exercising the [last]-frame path. *)
-              let chunk = 3 in
-              let feed_chunks requests feed =
-                let n = Array.length requests in
-                let off = ref 0 in
-                while !off < n do
-                  let len = min chunk (n - !off) in
-                  feed (Array.sub requests !off len);
-                  off := !off + len
-                done
-              in
-              let backend =
-                {
-                  Transcript_pin.pks = Remote.public_keys remote;
-                  conversation_round =
-                    (fun ~round requests ->
-                      match
-                        Remote.conversation_round_streamed remote ~round
-                          ~produce:(feed_chunks requests)
-                      with
-                      | Ok replies -> replies
-                      | Error st -> fail_status st);
-                  dialing_round =
-                    (fun ~round ~m requests ->
-                      match
-                        Remote.dialing_round_streamed remote ~round ~m
-                          ~produce:(feed_chunks requests)
-                      with
-                      | Ok acks -> acks
-                      | Error st -> fail_status st);
-                }
-              in
-              let tcp_digest = Transcript_pin.full_digest backend in
-              check_str
-                (Printf.sprintf
-                   "sharded+streamed loopback digest = pinned digest (jobs=%d)"
-                   jobs)
-                Transcript_pin.pinned_full_digest tcp_digest;
+              let label = Transcript_pin.row_label row in
+              check_str (label ^ ": conv digest = pinned")
+                Transcript_pin.pinned_conv_digest conv;
+              check_str (label ^ ": full digest = pinned")
+                Transcript_pin.pinned_full_digest full;
               Remote.shutdown remote))
-    [ 1; 4 ]
+    Transcript_pin.rows
 
 (* ------------------------------------------------------------------ *)
 (* 2. Full supervisor over TCP: delivery + dialing acks                *)
@@ -529,25 +448,8 @@ let test_shaped_links () =
       | Error e -> check ("remote connect: " ^ e) false
       | Ok remote ->
           Remote.set_deadline_ms remote (Some 30_000.);
-          let fail_status st =
-            failwith (Format.asprintf "%a" Rpc.pp_status st)
-          in
           let t0 = Unix.gettimeofday () in
-          let backend =
-            {
-              Transcript_pin.pks = Remote.public_keys remote;
-              conversation_round =
-                (fun ~round requests ->
-                  match Remote.conversation_round remote ~round requests with
-                  | Ok replies -> replies
-                  | Error st -> fail_status st);
-              dialing_round =
-                (fun ~round ~m requests ->
-                  match Remote.dialing_round remote ~round ~m requests with
-                  | Ok acks -> acks
-                  | Error st -> fail_status st);
-            }
-          in
+          let backend = remote_backend remote in
           let digest = Transcript_pin.full_digest backend in
           let elapsed_ms = 1000. *. (Unix.gettimeofday () -. t0) in
           check_str "shaped-link digest = pinned digest"
@@ -769,10 +671,6 @@ let test_obs_transcript_parity () =
           | Error e -> check ("remote connect: " ^ e) false
           | Ok remote ->
               Remote.set_deadline_ms remote (Some 30_000.);
-              Remote.set_pipeline remote (Some 4);
-              let fail_status st =
-                failwith (Format.asprintf "%a" Rpc.pp_status st)
-              in
               let tr = T.Telemetry.trace tel in
               (* The coordinator side of the tentpole, as [Network]
                  wires it: a root span per round, its context announced
@@ -787,26 +685,21 @@ let test_obs_transcript_parity () =
                     T.Trace.end_span tr span)
                   f
               in
+              (* Entry parts of 3 onions into daemons that forward
+                 parts of 4: part sizes may differ hop to hop, and the
+                 short tails exercise the [last]-frame path. *)
               let backend =
-                {
-                  Transcript_pin.pks = Remote.public_keys remote;
-                  conversation_round =
-                    (fun ~round requests ->
-                      traced "conv-round" ~round ~dialing:false (fun () ->
-                          match
-                            Remote.conversation_round remote ~round requests
-                          with
-                          | Ok replies -> replies
-                          | Error st -> fail_status st));
-                  dialing_round =
-                    (fun ~round ~m requests ->
-                      traced "dial-round" ~round ~dialing:true (fun () ->
-                          match
-                            Remote.dialing_round remote ~round ~m requests
-                          with
-                          | Ok acks -> acks
-                          | Error st -> fail_status st));
-                }
+                Transcript_pin.streamed ~pks:(Remote.public_keys remote)
+                  ~part:3
+                  ~conv:(fun ~round ~produce ->
+                    traced "conv-round" ~round ~dialing:false (fun () ->
+                        Remote.conversation_round_streamed remote ~round
+                          ~produce))
+                  ~dial:(fun ~round ~m ~produce ->
+                    traced "dial-round" ~round ~dialing:true (fun () ->
+                        Remote.dialing_round_streamed remote ~round ~m
+                          ~produce))
+                  ()
               in
               let digest = Transcript_pin.full_digest backend in
               check_str
@@ -818,6 +711,76 @@ let test_obs_transcript_parity () =
                 (T.Trace.span_count tr >= 4);
               Remote.shutdown remote))
     [ 1; 4 ]
+
+(* ------------------------------------------------------------------ *)
+(* 8. Trace context passes through a daemon with tracing off           *)
+(* ------------------------------------------------------------------ *)
+
+(* Daemons 0 and 2 trace (their scrape endpoints imply a sink), daemon 1
+   does not: daemon 1 must pass daemon 0's context on unchanged, so
+   daemon 2's hop span names daemon 0's hop span as its remote parent. *)
+let test_trace_pass_through () =
+  print_endline "trace context through a daemon with tracing off:";
+  let ports = Array.init chain_len (fun _ -> free_port ()) in
+  let mports = Array.init chain_len (fun _ -> free_port ()) in
+  let pids =
+    Array.to_list
+      (Array.init chain_len (fun i ->
+           let index = chain_len - 1 - i in
+           fork_daemon
+             (daemon_cfg ~seed:"net-pass-ctx" ~ports ~index
+                ?metrics_port:(if index = 1 then None else Some mports.(index))
+                ())))
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter stop_pid pids)
+    (fun () ->
+      match
+        Remote.connect ~handshake_timeout_ms:20_000.
+          ~addr:(Addr.loopback ~port:ports.(0))
+          ()
+      with
+      | Error e -> check ("remote connect: " ^ e) false
+      | Ok remote ->
+          Remote.set_deadline_ms remote (Some 30_000.);
+          let _ = Transcript_pin.conv_digest (remote_backend remote) in
+          (* The hop spans of a daemon's /trace export, as JSON objects. *)
+          let hops index =
+            match Httpd.get (Addr.loopback ~port:mports.(index)) "/trace" with
+            | Ok (200, body) ->
+                String.split_on_char '\n' body
+                |> List.filter_map (fun l ->
+                       match T.Json.parse l with
+                       | Ok j
+                         when Option.bind (T.Json.member "name" j) T.Json.to_str
+                              = Some "hop" ->
+                           Some j
+                       | _ -> None)
+            | Ok (status, _) ->
+                check (Printf.sprintf "/trace answered %d" status) false;
+                []
+            | Error e ->
+                check ("/trace: " ^ e) false;
+                []
+          in
+          let int k j = Option.bind (T.Json.member k j) T.Json.to_int in
+          let round1 = List.filter (fun j -> int "round" j = Some 1) in
+          (match (round1 (hops 0), round1 (hops 2)) with
+          | [ h0 ], [ h2 ] ->
+              let parent = T.Json.member "ctx" h2 in
+              check "daemon 2's hop has a remote parent" (parent <> None);
+              let ctx k = Option.bind parent (int k) in
+              check "its remote parent is daemon 0's hop span"
+                (ctx "trace" = int "trace" h0
+                && ctx "origin" = int "origin" h0
+                && ctx "span" = int "id" h0
+                && ctx "span" <> None)
+          | h0, h2 ->
+              check
+                (Printf.sprintf "one round-1 hop span each (got %d and %d)"
+                   (List.length h0) (List.length h2))
+                false);
+          Remote.shutdown remote)
 
 let () =
   if not (sockets_allowed ()) then begin
@@ -833,8 +796,7 @@ let () =
   in
   let run name f = if only = None || only = Some name then f () in
   run "transcript" test_transcript_parity;
-  run "pipeline" test_transcript_parity_pipelined;
-  run "scale" test_transcript_parity_scale_plane;
+  run "matrix" test_transcript_matrix;
   run "smoke" test_network_smoke;
   run "crash" test_crash_retry;
   run "restart" test_kill_restart;
@@ -842,6 +804,7 @@ let () =
   run "shaped" test_shaped_links;
   run "obs" test_observability;
   run "obs-parity" test_obs_transcript_parity;
+  run "pass-ctx" test_trace_pass_through;
   if !failures > 0 then begin
     Printf.printf "net: %d failure(s)\n%!" !failures;
     exit 1

@@ -4,6 +4,8 @@
    obviously correct so test/prop/prop_chacha.ml can compare the fast
    path against it.  32-bit words are native ints masked to 32 bits. *)
 
+open Vuvuzela_crypto
+
 let mask32 = 0xffffffff
 let key_len = 32
 let nonce_len = 12

@@ -4,6 +4,8 @@
    `bench/main.exe` §Crypto reports the speedup of the 51-bit rewrite
    against this baseline.  Not used on any production path. *)
 
+open Vuvuzela_crypto
+
 let _121665 : Fe25519_ref.t =
   let a = Fe25519_ref.create () in
   a.(0) <- 0xdb41;

@@ -8,6 +8,8 @@
    - [resolve] fills every lone slot with the *same* mutable
      [empty_result] buffer. *)
 
+open Vuvuzela
+
 type access = { slot : int; sealed : bytes }
 
 type t = {

@@ -2,6 +2,8 @@
     oracle for the rewritten {!Deaddrop} (see
     [test/prop/prop_deaddrop.ml]).  Not for production use. *)
 
+open Vuvuzela
+
 type t
 
 val create : unit -> t

@@ -9,6 +9,8 @@
    replacement against this baseline.  Do not optimise this module — its
    only job is to be obviously faithful to the seed implementation. *)
 
+open Vuvuzela_crypto
+
 type t = int array (* 16 limbs *)
 
 let create () = Array.make 16 0

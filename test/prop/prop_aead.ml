@@ -5,6 +5,7 @@
 
 open Vuvuzela_crypto
 open Vuvuzela_mixnet
+open Vuvuzela_oracles
 
 (* The block-boundary plaintext lengths; 0 also covers the empty
    plaintext requirement. *)

@@ -7,6 +7,7 @@
    the oracle, not just assumed. *)
 
 open Vuvuzela_crypto
+open Vuvuzela_oracles
 
 let boundary_lens = [ 0; 1; 63; 64; 65; 127; 128; 8191 ]
 

@@ -16,7 +16,7 @@
 
 open Vuvuzela_crypto
 module Deaddrop = Vuvuzela.Deaddrop
-module Deaddrop_ref = Vuvuzela.Deaddrop_ref
+module Deaddrop_ref = Vuvuzela_oracles.Deaddrop_ref
 module Stable_bloom = Vuvuzela.Stable_bloom
 module Pool = Vuvuzela_parallel.Pool
 

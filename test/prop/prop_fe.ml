@@ -5,6 +5,7 @@
    pack to identical canonical bytes. *)
 
 open Vuvuzela_crypto
+open Vuvuzela_oracles
 
 let hex = Bytes_util.to_hex
 

@@ -54,7 +54,9 @@ let run () =
   Prop.check ~name:"per-item strategy = chunked strategy" ~count:40 gen_case
     (fun (jobs, arr) ->
       let chunked = Pool.mapi_array (pool ~jobs) f arr in
-      let per_item = Pool.mapi_array_per_item (pool ~jobs) f arr in
+      let per_item =
+        Vuvuzela_oracles.Pool_ref.mapi_array_per_item (pool ~jobs) f arr
+      in
       Prop.require (chunked = per_item)
         "jobs=%d n=%d: strategies disagree" jobs (Array.length arr));
   Prop.check ~name:"iter_array visits every element once" ~count:40 gen_case

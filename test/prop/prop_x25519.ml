@@ -3,6 +3,7 @@
    RFC 7748 iterated test. *)
 
 open Vuvuzela_crypto
+open Vuvuzela_oracles
 
 let hex = Bytes_util.to_hex
 let of_hex = Bytes_util.of_hex

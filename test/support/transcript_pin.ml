@@ -26,8 +26,51 @@ let pinned_conv_digest =
 let pinned_full_digest =
   "29314874846a3d68a8bd449a79cc736a758e2ef32eeb722911ecb7b741700eab"
 
-let in_process ?telemetry ?(jobs = 1) ?pipeline_chunk ?(deaddrop_shards = 1)
-    ?(entry_streaming = false) () =
+type row = { jobs : int; part : int option; shards : int }
+
+let rows =
+  List.concat_map
+    (fun jobs ->
+      List.concat_map
+        (fun part -> List.map (fun shards -> { jobs; part; shards }) [ 1; 4 ])
+        [ None; Some 1; Some 4; Some 16 ])
+    [ 1; 4 ]
+
+let row_label { jobs; part; shards } =
+  Printf.sprintf "jobs=%d part=%s shards=%d" jobs
+    (match part with None -> "batch" | Some c -> string_of_int c)
+    shards
+
+(* Slot-ordered chunks of [part] onions (the whole batch as one chunk
+   without [part]), fed the way an entry collector's sink would. *)
+let produce ?part requests feed =
+  match part with
+  | None -> feed requests
+  | Some chunk ->
+      let n = Array.length requests in
+      let off = ref 0 in
+      while !off < n do
+        let len = min chunk (n - !off) in
+        feed (Array.sub requests !off len);
+        off := !off + len
+      done
+
+let streamed ~pks ?part ~conv ~dial () =
+  let or_fail = function
+    | Ok replies -> replies
+    | Error st -> failwith (Format.asprintf "%a" Rpc.pp_status st)
+  in
+  {
+    pks;
+    conversation_round =
+      (fun ~round requests ->
+        or_fail (conv ~round ~produce:(produce ?part requests)));
+    dialing_round =
+      (fun ~round ~m requests ->
+        or_fail (dial ~round ~m ~produce:(produce ?part requests)));
+  }
+
+let in_process ?telemetry ?(jobs = 1) ?part ?(deaddrop_shards = 1) () =
   let chain =
     Chain.of_config
       Config.(
@@ -39,44 +82,14 @@ let in_process ?telemetry ?(jobs = 1) ?pipeline_chunk ?(deaddrop_shards = 1)
            | None -> Fun.id
            | Some tel -> with_telemetry tel)
         |>
-        match pipeline_chunk with
+        match part with
         | None -> Fun.id
         | Some chunk -> with_pipeline ~chunk true)
   in
-  (* Streamed-entry backends push the same slot-ordered requests as
-     chunks (an awkward size, to exercise uneven tails); the digests
-     must not move. *)
-  let chunk = Option.value pipeline_chunk ~default:3 in
-  let feed_chunks requests feed =
-    let n = Array.length requests in
-    let off = ref 0 in
-    while !off < n do
-      let len = min chunk (n - !off) in
-      feed (Array.sub requests !off len);
-      off := !off + len
-    done
-  in
-  let or_fail = function
-    | Ok replies -> replies
-    | Error st -> failwith (Format.asprintf "%a" Rpc.pp_status st)
-  in
-  ( {
-      pks = Chain.public_keys chain;
-      conversation_round =
-        (fun ~round requests ->
-          if entry_streaming then
-            or_fail
-              (Chain.conversation_round_streamed chain ~round
-                 ~produce:(feed_chunks requests))
-          else Chain.conversation_round_exn chain ~round requests);
-      dialing_round =
-        (fun ~round ~m requests ->
-          if entry_streaming then
-            or_fail
-              (Chain.dialing_round_streamed chain ~round ~m
-                 ~produce:(feed_chunks requests))
-          else Chain.dialing_round_exn chain ~round ~m requests);
-    },
+  ( streamed ~pks:(Chain.public_keys chain) ?part
+      ~conv:(Chain.conversation_round_streamed chain)
+      ~dial:(Chain.dialing_round_streamed chain)
+      (),
     fun () -> Chain.shutdown chain )
 
 (* 4 seeded clients in two conversing pairs; a[0] and c[2] have queued
@@ -100,38 +113,41 @@ let make_clients pks =
   | _ -> assert false);
   clients
 
-let feed_conv_rounds h backend clients =
+(* One run of the schedule feeds two hashes: the conversation digest
+   (public keys, then rounds 1..3) and the full digest, which continues
+   the same byte sequence with dialing round 1 (m = 1). *)
+let run ~dialing backend =
+  let clients = make_clients backend.pks in
+  let hc = Sha256.init () and hf = Sha256.init () in
+  let feed b =
+    Sha256.feed hc b;
+    Sha256.feed hf b
+  in
+  List.iter feed backend.pks;
   for round = 1 to 3 do
     let requests =
       Array.of_list
         (List.map (fun c -> Client.conversation_request c ~round) clients)
     in
-    Array.iter (Sha256.feed h) requests;
+    Array.iter feed requests;
     let replies = backend.conversation_round ~round requests in
-    Array.iter (Sha256.feed h) replies;
+    Array.iter feed replies;
     List.iteri
       (fun i c -> ignore (Client.handle_conversation_reply c ~round replies.(i)))
       clients
-  done
+  done;
+  if dialing then begin
+    let m = 1 in
+    let requests =
+      Array.of_list
+        (List.map (fun c -> Client.dialing_request c ~dial_round:1 ~m) clients)
+    in
+    Array.iter (Sha256.feed hf) requests;
+    let acks = backend.dialing_round ~round:1 ~m requests in
+    Array.iter (Sha256.feed hf) acks
+  end;
+  (Bytes_util.to_hex (Sha256.get hc), Bytes_util.to_hex (Sha256.get hf))
 
-let conv_digest backend =
-  let clients = make_clients backend.pks in
-  let h = Sha256.init () in
-  List.iter (fun pk -> Sha256.feed h pk) backend.pks;
-  feed_conv_rounds h backend clients;
-  Bytes_util.to_hex (Sha256.get h)
-
-let full_digest backend =
-  let clients = make_clients backend.pks in
-  let h = Sha256.init () in
-  List.iter (fun pk -> Sha256.feed h pk) backend.pks;
-  feed_conv_rounds h backend clients;
-  let m = 1 in
-  let requests =
-    Array.of_list
-      (List.map (fun c -> Client.dialing_request c ~dial_round:1 ~m) clients)
-  in
-  Array.iter (Sha256.feed h) requests;
-  let acks = backend.dialing_round ~round:1 ~m requests in
-  Array.iter (Sha256.feed h) acks;
-  Bytes_util.to_hex (Sha256.get h)
+let conv_digest backend = fst (run ~dialing:false backend)
+let full_digest backend = snd (run ~dialing:true backend)
+let digests backend = run ~dialing:true backend

@@ -1,6 +1,7 @@
 (* Crypto substrate tests: RFC/NIST vectors plus qcheck properties. *)
 
 open Vuvuzela_crypto
+open Vuvuzela_oracles
 
 let hex = Bytes_util.of_hex
 let check_hex msg expected actual =

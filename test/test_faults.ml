@@ -116,8 +116,8 @@ let test_round_after_shutdown_is_typed () =
     (Chain.is_shut_down (Network.chain net));
   (* Chain level. *)
   (match
-     Chain.conversation_round (Network.chain net) ~round:99
-       (Array.make 1 (Bytes.create 8))
+     Chain.conversation_round_streamed (Network.chain net) ~round:99
+       ~produce:(fun feed -> feed (Array.make 1 (Bytes.create 8)))
    with
   | Error st ->
       Alcotest.(check bool) "typed chain-shutdown status" true

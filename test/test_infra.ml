@@ -18,13 +18,17 @@ let roundtrip msg =
 let test_rpc_roundtrips () =
   let rng = Drbg.of_string "rpc" in
   let batch n len = Array.init n (fun _ -> Drbg.generate rng len) in
-  roundtrip (Rpc.Round_announce { round = 42; deadline_ms = 10_000 });
-  roundtrip (Rpc.Dial_announce { dial_round = 7; m = 4 });
-  roundtrip (Rpc.Conv_batch { round = 3; onions = batch 5 416 });
-  roundtrip (Rpc.Conv_batch { round = 3; onions = [||] });
+  roundtrip
+    (Rpc.Conv_batch_part { round = 3; seq = 0; last = true; onions = batch 5 416 });
+  roundtrip
+    (Rpc.Conv_batch_part { round = 3; seq = 2; last = false; onions = [||] });
   roundtrip (Rpc.Conv_results { round = 3; replies = batch 5 304 });
-  roundtrip (Rpc.Dial_batch { round = 1; m = 2; onions = batch 3 226 });
+  roundtrip
+    (Rpc.Dial_batch_part
+       { round = 1; m = 2; seq = 1; last = true; onions = batch 3 226 });
   roundtrip (Rpc.Dial_results { round = 1; replies = batch 3 49 });
+  roundtrip (Rpc.Abort { round = 5; dialing = true });
+  roundtrip Rpc.Bye;
   roundtrip (Rpc.Fetch_drop { dial_round = 9; index = 1 });
   roundtrip
     (Rpc.Drop_contents
@@ -43,7 +47,7 @@ let test_rpc_roundtrips () =
        })
 
 let test_rpc_rejections () =
-  let good = Rpc.encode (Rpc.Round_announce { round = 1; deadline_ms = 1 }) in
+  let good = Rpc.encode (Rpc.Fetch_drop { dial_round = 1; index = 1 }) in
   (* Bad magic. *)
   let bad = Bytes.copy good in
   Bytes.set bad 0 'X';
@@ -71,8 +75,13 @@ let test_rpc_rejections () =
     (try
        ignore
          (Rpc.encode
-            (Rpc.Conv_batch
-               { round = 1; onions = [| Bytes.make 3 'a'; Bytes.make 4 'b' |] }));
+            (Rpc.Conv_batch_part
+               {
+                 round = 1;
+                 seq = 0;
+                 last = true;
+                 onions = [| Bytes.make 3 'a'; Bytes.make 4 'b' |];
+               }));
        false
      with Vuvuzela_mixnet.Wire.Error _ -> true)
 
@@ -144,14 +153,14 @@ let test_trace_ctx_wire () =
 
 let test_rpc_batch_bytes () =
   let onions = Array.init 7 (fun _ -> Bytes.make 416 'x') in
-  let encoded = Rpc.encode (Rpc.Conv_batch { round = 1; onions }) in
-  Alcotest.(check int) "conv_batch_bytes exact"
+  let encoded = Rpc.encode (Rpc.part ~round:1 ~seq:0 ~last:true onions) in
+  Alcotest.(check int) "conversation part_bytes exact"
     (Bytes.length encoded)
-    (Rpc.conv_batch_bytes ~count:7 ~item_len:416);
-  let encoded = Rpc.encode (Rpc.Dial_batch { round = 1; m = 4; onions }) in
-  Alcotest.(check int) "dial_batch_bytes exact"
+    (Rpc.part_bytes ~dialing:false ~count:7 ~item_len:416);
+  let encoded = Rpc.encode (Rpc.part ~m:4 ~round:1 ~seq:3 ~last:false onions) in
+  Alcotest.(check int) "dialing part_bytes exact"
     (Bytes.length encoded)
-    (Rpc.dial_batch_bytes ~count:7 ~item_len:416)
+    (Rpc.part_bytes ~dialing:true ~count:7 ~item_len:416)
 
 let test_rpc_status_pp () =
   let st = { Rpc.round = 3; server = 1; stage = "conv-batch"; detail = "x" } in
@@ -330,15 +339,17 @@ let test_address_book_rename () =
      point at the newest record; size counts names. *)
   Alcotest.(check int) "two names" 2 (Address_book.size book)
 
-(* Hand-assemble a [Conv_batch] frame whose batch header lies about its
-   contents, bypassing the encoder's own checks. *)
+(* Hand-assemble a [Conv_batch_part] frame whose batch header lies
+   about its contents, bypassing the encoder's own checks. *)
 let raw_conv_batch_frame ~count ~item_len ~body_len =
   let module Wire = Vuvuzela_mixnet.Wire in
   Wire.encode (fun w ->
       Wire.Writer.u32 w 0x56555655 (* magic *);
       Wire.Writer.u8 w 1 (* version *);
-      Wire.Writer.u8 w 3 (* Conv_batch *);
+      Wire.Writer.u8 w 14 (* Conv_batch_part *);
       Wire.Writer.u64 w 1 (* round *);
+      Wire.Writer.u32 w 0 (* seq *);
+      Wire.Writer.u8 w 1 (* last *);
       Wire.Writer.u32 w count;
       Wire.Writer.u32 w item_len;
       Wire.Writer.raw w (Bytes.make body_len 'x'))
@@ -380,11 +391,8 @@ let qcheck_props =
         || (try
               ignore
                 (Rpc.encode
-                   (Rpc.Conv_batch
-                      {
-                        round = 1;
-                        onions = [| Bytes.make la 'a'; Bytes.make lb 'b' |];
-                      }));
+                   (Rpc.part ~round:1 ~seq:0 ~last:true
+                      [| Bytes.make la 'a'; Bytes.make lb 'b' |]));
               false
             with Vuvuzela_mixnet.Wire.Error _ -> true));
     Test.make ~name:"address book serialize roundtrip" ~count:30

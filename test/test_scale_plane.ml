@@ -18,7 +18,7 @@ let test_streaming_peak_bound () =
   let n = 100 and chunk = 8 in
   let received = ref [] in
   let entry =
-    Entry.create_streaming ~round:1 ~chunk
+    Entry.create ~round:1 ~chunk
       ~sink:(fun parts -> received := parts :: !received)
       ()
   in
@@ -27,7 +27,7 @@ let test_streaming_peak_bound () =
     | Entry.Accepted -> ()
     | Entry.Late _ -> Alcotest.fail "open stream rejected a submit"
   done;
-  let ids = Entry.close_stream entry in
+  let ids = Entry.close entry in
   Alcotest.(check int) "all clients got slots" n (Array.length ids);
   Alcotest.(check bool)
     (Printf.sprintf "peak buffered (%d) <= chunk (%d)"
@@ -46,24 +46,24 @@ let test_streaming_peak_bound () =
       Alcotest.(check char) "slot order preserved"
         (Char.chr (i land 0xff)) (Bytes.get b 0))
     flat;
-  (* A materializing collector's peak is its size: the thing the
-     streaming mode exists to avoid. *)
-  let mat = Entry.create ~round:1 () in
+  (* A one-chunk collector (an unpipelined deployment) holds the whole
+     round: the peak the chunked intake exists to avoid. *)
+  let whole = Entry.create ~round:1 ~chunk:max_int ~sink:(fun _ -> ()) () in
   for i = 0 to n - 1 do
-    ignore (Entry.submit mat i (Bytes.create 4))
+    ignore (Entry.submit whole i (Bytes.create 4))
   done;
-  Alcotest.(check int) "materializing peak = population" n
-    (Entry.peak_buffered mat)
+  Alcotest.(check int) "one-chunk peak = population" n
+    (Entry.peak_buffered whole)
 
 (* The bound is population-independent: 10x the clients, same peak. *)
 let test_streaming_peak_population_independent () =
   let chunk = 16 in
   let peak_at n =
-    let entry = Entry.create_streaming ~chunk ~sink:(fun _ -> ()) () in
+    let entry = Entry.create ~chunk ~sink:(fun _ -> ()) () in
     for i = 0 to n - 1 do
       ignore (Entry.submit entry i (Bytes.create 1))
     done;
-    ignore (Entry.close_stream entry);
+    ignore (Entry.close entry);
     Entry.peak_buffered entry
   in
   let p1 = peak_at 200 and p2 = peak_at 2000 in
@@ -226,12 +226,13 @@ let test_network_streaming_round () =
         default |> with_seed "net-streaming"
         |> with_noise (Laplace.params ~mu:3. ~b:1.)
         |> with_noise_mode Noise.Deterministic
-        |> with_pipeline ~chunk:2 true |> with_entry_streaming true)
+        |> with_pipeline ~chunk:2 true)
   in
   Fun.protect
     ~finally:(fun () -> Network.shutdown net)
     (fun () ->
-      Alcotest.(check bool) "streaming on" true (Network.entry_streaming net);
+      Alcotest.(check int) "pipelined: the entry streams in parts" 2
+        (Network.entry_chunk net);
       let a = Network.connect ~seed:"sa" net in
       let b = Network.connect ~seed:"sb" net in
       let c = Network.connect ~seed:"sc" net in

@@ -13,12 +13,23 @@
    deployment test ([test/net]) checks its multi-process chain against
    literally the same digest computation. *)
 
-let with_in_process ?jobs ?pipeline_chunk ?deaddrop_shards ?entry_streaming f =
+let with_in_process ?jobs ?part ?deaddrop_shards f =
   let backend, shutdown =
-    Transcript_pin.in_process ?jobs ?pipeline_chunk ?deaddrop_shards
-      ?entry_streaming ()
+    Transcript_pin.in_process ?jobs ?part ?deaddrop_shards ()
   in
   Fun.protect ~finally:shutdown (fun () -> f backend)
+
+(* One matrix row, in process: both digests must be the pins. *)
+let check_row (row : Transcript_pin.row) =
+  let conv, full =
+    with_in_process ~jobs:row.jobs ?part:row.part ~deaddrop_shards:row.shards
+      Transcript_pin.digests
+  in
+  let label = Transcript_pin.row_label row in
+  Alcotest.(check string)
+    (label ^ " conv") Transcript_pin.pinned_conv_digest conv;
+  Alcotest.(check string)
+    (label ^ " full") Transcript_pin.pinned_full_digest full
 
 let test_pinned_transcript () =
   with_in_process (fun backend ->
@@ -41,52 +52,18 @@ let test_transcript_deterministic () =
   let d2 = with_in_process Transcript_pin.full_digest in
   Alcotest.(check string) "transcript reproducible" d1 d2
 
-(* The engine knobs — worker domains, streamed relay, chunk size — are
-   pure scheduling: any combination must reproduce the pinned bytes. *)
+(* The engine knobs — worker domains, part size — are pure scheduling:
+   any combination must reproduce the pinned bytes.  (The TCP
+   counterpart of this matrix runs in [test/net].) *)
 let test_transcript_engine_invariant () =
-  List.iter
-    (fun (jobs, pipeline_chunk) ->
-      let digest =
-        with_in_process ~jobs ?pipeline_chunk Transcript_pin.full_digest
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d chunk=%s" jobs
-           (match pipeline_chunk with
-           | None -> "-"
-           | Some c -> string_of_int c))
-        Transcript_pin.pinned_full_digest digest)
-    [
-      (2, None);
-      (4, None);
-      (1, Some 1);
-      (1, Some 3);
-      (2, Some 2);
-      (4, Some 16);
-    ]
+  List.iter check_row
+    (List.filter (fun r -> r.Transcript_pin.shards = 1) Transcript_pin.rows)
 
-(* The scale plane — sharded dead-drop store, streamed entry tier — is
-   pure engine too: any shard count, at any job count, streamed or
-   materialized, must reproduce the pinned bytes.  (The TCP counterpart
-   of this matrix runs in [test/net].) *)
+(* The scale plane — the sharded dead-drop store, a part-sized entry
+   tier — is pure engine too: the matrix rows with a sharded store. *)
 let test_transcript_scale_plane_invariant () =
-  List.iter
-    (fun (jobs, deaddrop_shards, entry_streaming) ->
-      let digest =
-        with_in_process ~jobs ~deaddrop_shards ~entry_streaming
-          Transcript_pin.full_digest
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d shards=%d streaming=%b" jobs deaddrop_shards
-           entry_streaming)
-        Transcript_pin.pinned_full_digest digest)
-    [
-      (1, 4, false);
-      (4, 4, false);
-      (1, 16, true);
-      (4, 16, true);
-      (1, 1, true);
-      (4, 1, true);
-    ]
+  List.iter check_row
+    (List.filter (fun r -> r.Transcript_pin.shards > 1) Transcript_pin.rows)
 
 (* Observability is pure control plane: the same schedule with a live
    telemetry sink — spans, metrics and the budget ledger all recording
@@ -94,18 +71,18 @@ let test_transcript_scale_plane_invariant () =
    settings the observability plane promises not to perturb. *)
 let test_transcript_observability_invariant () =
   List.iter
-    (fun (jobs, pipeline_chunk) ->
+    (fun (jobs, part) ->
       let telemetry = Vuvuzela_telemetry.Telemetry.create () in
       let backend, shutdown =
-        Transcript_pin.in_process ~telemetry ~jobs ?pipeline_chunk ()
+        Transcript_pin.in_process ~telemetry ~jobs ?part ()
       in
       let digest =
         Fun.protect ~finally:shutdown (fun () ->
             Transcript_pin.full_digest backend)
       in
       Alcotest.(check string)
-        (Printf.sprintf "telemetry on, jobs=%d chunk=%s" jobs
-           (match pipeline_chunk with
+        (Printf.sprintf "telemetry on, jobs=%d part=%s" jobs
+           (match part with
            | None -> "-"
            | Some c -> string_of_int c))
         Transcript_pin.pinned_full_digest digest;

@@ -512,13 +512,40 @@ let round_stage_export () =
 (* Crypto: 51-bit field rewrite vs the retained seed implementation    *)
 (* ------------------------------------------------------------------ *)
 
+(* Provenance header for a BENCH_*.json: the commit, the UTC time, the
+   OCaml version and the host's core count, so a number can be traced to
+   the code and machine that produced it. *)
+let provenance () =
+  let module J = Vuvuzela_telemetry.Json in
+  let git_rev =
+    match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
+    | ic ->
+        let rev = try input_line ic with End_of_file -> "unknown" in
+        ignore (Unix.close_process_in ic);
+        rev
+    | exception Unix.Unix_error _ -> "unknown"
+  in
+  let t = Unix.gmtime (Unix.time ()) in
+  [
+    ("git_rev", J.Str git_rev);
+    ( "date",
+      J.Str
+        (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.tm_year + 1900)
+           (t.tm_mon + 1) t.tm_mday t.tm_hour t.tm_min t.tm_sec) );
+    ("ocaml_version", J.Str Sys.ocaml_version);
+    ( "host_cores",
+      J.Num (float_of_int (Vuvuzela_parallel.Pool.default_jobs ())) );
+  ]
+
 (* Throughput of the rewritten X25519 (5×51-bit limbs) against the
-   retained seed ladder (Curve25519_ref, 16×16-bit limbs), AEAD seal/open
-   throughput, the chunked-vs-per-item pool dispatch cost, and the
-   end-to-end round cost at jobs ∈ {1, 2, 4} plus a pipelined run —
-   written to BENCH_crypto.json so the numbers are diffable run-to-run.
-   The host core count is recorded alongside: on a 1-core container the
-   jobs > 1 rows measure scheduling overhead, not speedup. *)
+   retained seed ladder (Curve25519_ref, 16×16-bit limbs), the
+   fixed-base comb against the ladder on u = 9 (its oracle), field
+   inversion and Ed25519 signing, AEAD seal/open throughput, the
+   chunked-vs-per-item pool dispatch cost, and the end-to-end round cost
+   at jobs ∈ {1, 2, 4} plus a pipelined run — written to
+   BENCH_crypto.json so the numbers are diffable run-to-run.  The host
+   core count is recorded alongside: on a 1-core container the jobs > 1
+   rows measure scheduling overhead, not speedup. *)
 let crypto_bench () =
   section
     "CRYPTO - 51-bit field + unrolled chacha vs seed (writes \
@@ -552,10 +579,25 @@ let crypto_bench () =
         ignore (Curve25519_ref.scalarmult ~scalar:sk ~point:peer_pk))
   in
   let x_base = ops_per_sec (fun () -> ignore (Curve25519.scalarmult_base sk)) in
+  let x_ladder_base =
+    ops_per_sec (fun () ->
+        ignore (Curve25519.scalarmult ~scalar:sk ~point:Curve25519.base_point))
+  in
+  let fe = Fe25519.unpack peer_pk and fe_out = Fe25519.create () in
+  let fe_invert = ops_per_sec (fun () -> Fe25519.invert fe_out fe) in
+  let ed_sign =
+    let ed_sk, _ = Ed25519.keypair ~rng () in
+    let msg = Drbg.generate rng 200 in
+    ops_per_sec (fun () -> ignore (Ed25519.sign ~secret:ed_sk msg))
+  in
   let speedup = x_new /. x_ref in
   Printf.printf "  x25519 (51-bit limbs)   %10.0f ops/s\n" x_new;
   Printf.printf "  x25519 (seed, 16-bit)   %10.0f ops/s\n" x_ref;
-  Printf.printf "  x25519 fixed-base       %10.0f ops/s\n" x_base;
+  Printf.printf "  x25519 fixed-base comb  %10.0f ops/s (%.2fx the ladder)\n"
+    x_base (x_base /. x_ladder_base);
+  Printf.printf "  x25519 ladder on u=9    %10.0f ops/s\n" x_ladder_base;
+  Printf.printf "  fe25519 invert          %10.0f ops/s\n" fe_invert;
+  Printf.printf "  ed25519 sign (200 B)    %10.0f ops/s\n" ed_sign;
   Printf.printf "  speedup %.2fx %s\n" speedup
     (if speedup >= 3. then "(meets the >=3x target)"
      else "(BELOW the 3x target)");
@@ -677,18 +719,24 @@ let crypto_bench () =
     chunked_ops per_item_ops (chunked_ops /. per_item_ops) pool_jobs;
   let doc =
     T.Json.Obj
-      [
+      ([
         ("benchmark", T.Json.Str "crypto");
         ("schema", T.Json.Num 1.);
-        ("host_cores", T.Json.Num (float_of_int (Vuvuzela_parallel.Pool.default_jobs ())));
+      ]
+      @ provenance ()
+      @ [
         ( "x25519",
           T.Json.Obj
             [
               ("ops_per_sec", T.Json.Num x_new);
               ("seed_ops_per_sec", T.Json.Num x_ref);
               ("fixed_base_ops_per_sec", T.Json.Num x_base);
+              ("ladder_base_ops_per_sec", T.Json.Num x_ladder_base);
               ("speedup_vs_seed", T.Json.Num speedup);
             ] );
+        ( "fe25519",
+          T.Json.Obj [ ("invert_ops_per_sec", T.Json.Num fe_invert) ] );
+        ("ed25519", T.Json.Obj [ ("sign_ops_per_sec", T.Json.Num ed_sign) ]);
         ( "aead_1kib",
           T.Json.Obj
             [
@@ -713,7 +761,7 @@ let crypto_bench () =
                 T.Json.Num (chunked_ops /. per_item_ops) );
             ] );
         ("round", T.Json.List rounds);
-      ]
+      ])
   in
   let oc = open_out "BENCH_crypto.json" in
   output_string oc (T.Json.to_string doc);

@@ -5,9 +5,12 @@
     This is the dominant CPU cost of Vuvuzela's servers (§8.2 of the
     paper); the simulator's cost model is calibrated against this module's
     measured throughput and against the paper's reported 340K ops/s per
-    36-core server.  [scalarmult_base] — the per-round ephemeral keygen
-    path every client takes — uses a fixed-base ladder that multiplies by
-    the base point's u-coordinate 9 via the small-constant path. *)
+    36-core server.  [scalarmult] is the Montgomery ladder;
+    [scalarmult_base] — the ephemeral keygen of every onion layer a
+    client or a noise-generating server wraps — instead runs
+    {!Edwards25519.scalarmult_base}'s precomputed comb and maps the
+    Edwards result to its Montgomery u-coordinate.  Both are constant
+    time and agree bit for bit with the ladder on the base point. *)
 
 val key_len : int
 (** 32. *)
@@ -26,7 +29,8 @@ val base_point : bytes
 (** The u-coordinate 9. *)
 
 val scalarmult_base : bytes -> bytes
-(** Public key from a 32-byte secret. *)
+(** Public key from a 32-byte secret: equal to
+    [scalarmult ~scalar ~point:base_point], about 3x faster. *)
 
 val shared : secret:bytes -> public:bytes -> bytes
 (** Raw shared point; derive symmetric keys via {!Hkdf} (see {!Box}). *)

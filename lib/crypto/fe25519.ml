@@ -1,9 +1,11 @@
 (* Field arithmetic modulo 2^255 - 19 on 5 limbs of 51 bits in native
    OCaml ints (curve25519-donna's radix-2^51 representation), with lazy
    carries.  Shared by X25519 (Montgomery ladder) and Ed25519
-   (Edwards-curve signatures); this is the hottest code in the system —
-   every onion layer costs one scalar multiplication, i.e. ~2550 calls
-   into [mul]/[square] below.
+   (Edwards-curve signatures); this is the hottest code in the system.
+   Every onion layer costs one variable-base scalar multiplication
+   (a 255-step ladder plus [invert]: ~2560 calls into [mul]/[square]
+   below) on both sides, and the wrapping side one fixed-base
+   multiplication more (Edwards25519's comb plus [invert]: ~750).
 
    Representation and carry discipline
    -----------------------------------
@@ -89,6 +91,13 @@ let cswap (p : t) (q : t) b =
     let t = c land (p.(i) lxor q.(i)) in
     p.(i) <- p.(i) lxor t;
     q.(i) <- q.(i) lxor t
+  done
+
+(* Constant-time conditional move: o <- a when b = 1. *)
+let cmov (o : t) (a : t) b =
+  let c = lnot (b - 1) in
+  for i = 0 to 4 do
+    o.(i) <- o.(i) lxor (c land (o.(i) lxor a.(i)))
   done
 
 let pack (n : t) =
@@ -308,10 +317,9 @@ let square (o : t) (a : t) =
   in
   reduce10 o h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
 
-(* Multiply by a small nonnegative constant (c < 2^17 covers both users:
-   the curve constant 121665 = (A-2)/4 and the base-point u-coordinate
-   9).  A direct limb product could reach 2^54 * 2^17 = 2^71, so this
-   also goes through half-limbs. *)
+(* Multiply by a small nonnegative constant c < 2^17 (the ladder's
+   curve constant 121665 = (A-2)/4).  A direct limb product could reach
+   2^54 * 2^17 = 2^71, so this also goes through half-limbs. *)
 let mul_small (o : t) (a : t) c =
   let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3) and a4 = a.(4) in
   reduce10 o
@@ -326,26 +334,56 @@ let mul_small (o : t) (a : t) c =
     ((a4 land mask26) * c)
     ((a4 asr 26) * c)
 
-(* Inversion by Fermat: a^(p-2).  Same square-and-multiply schedule as
-   the seed implementation (p-2 has zero bits only at positions 2 and
-   4). *)
-let invert (o : t) (i : t) =
-  let c = Array.copy i in
-  for a = 253 downto 0 do
-    square c c;
-    if a <> 2 && a <> 4 then mul c c i
-  done;
-  Array.blit c 0 o 0 5
+(* o <- a^(2^n), n >= 1. *)
+let square_n (o : t) (a : t) n =
+  square o a;
+  for _ = 2 to n do
+    square o o
+  done
 
-(* a^((p-5)/8), the square-root helper used when decompressing Edwards
-   points (RFC 8032 §5.1.3). *)
-let pow2523 (o : t) (i : t) =
-  let c = Array.copy i in
-  for a = 250 downto 0 do
-    square c c;
-    if a <> 1 then mul c c i
-  done;
-  Array.blit c 0 o 0 5
+(* z^(2^250 - 1) into [o], plus z^11 into [z11]: the shared prefix of
+   ref10's addition chains for [invert] and [pow2523] (249 S + 10 M).
+   Each step names the exponent it reaches. *)
+let pow_2_250_1 (o : t) (z11 : t) (z : t) =
+  let t0 = create () and t1 = create () and t2 = create () in
+  square t0 z (* 2 *);
+  square_n t1 t0 2 (* 8 *);
+  mul t1 z t1 (* 9 *);
+  mul z11 t0 t1 (* 11 *);
+  square t0 z11 (* 22 *);
+  mul t1 t1 t0 (* 2^5 - 1 *);
+  square_n t0 t1 5;
+  mul t1 t0 t1 (* 2^10 - 1 *);
+  square_n t0 t1 10;
+  mul t0 t0 t1 (* 2^20 - 1 *);
+  square_n t2 t0 20;
+  mul t0 t2 t0 (* 2^40 - 1 *);
+  square_n t0 t0 10;
+  mul t1 t0 t1 (* 2^50 - 1 *);
+  square_n t0 t1 50;
+  mul t0 t0 t1 (* 2^100 - 1 *);
+  square_n t2 t0 100;
+  mul t0 t2 t0 (* 2^200 - 1 *);
+  square_n t0 t0 50;
+  mul o t0 t1 (* 2^250 - 1 *)
+
+(* Inversion by Fermat, a^(p-2) with p - 2 = 2^255 - 21, via ref10's
+   addition chain: 254 squarings and 11 multiplications (plain
+   square-and-multiply needs 252 multiplications). *)
+let invert (o : t) (a : t) =
+  let t = create () and z11 = create () in
+  pow_2_250_1 t z11 a;
+  square_n t t 5 (* 2^255 - 32 *);
+  mul o t z11 (* 2^255 - 21 *)
+
+(* a^((p-5)/8) = a^(2^252 - 3), the square-root helper used when
+   decompressing Edwards points (RFC 8032 §5.1.3); ref10's matching
+   chain, 251 squarings and 11 multiplications. *)
+let pow2523 (o : t) (a : t) =
+  let t = create () and z11 = create () in
+  pow_2_250_1 t z11 a;
+  square_n t t 2 (* 2^252 - 4 *);
+  mul o t a (* 2^252 - 3 *)
 
 (* Parity of the canonical representation. *)
 let parity (a : t) = Bytes_util.get_u8 (pack a) 0 land 1

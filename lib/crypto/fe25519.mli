@@ -33,6 +33,9 @@ val carry : t -> unit
 val cswap : t -> t -> int -> unit
 (** Constant-time swap when the selector bit is 1. *)
 
+val cmov : t -> t -> int -> unit
+(** [cmov o a b]: constant-time [o <- a] when the selector bit [b] is 1. *)
+
 val pack : t -> bytes
 (** Canonical 32-byte little-endian encoding (fully reduced). *)
 
@@ -46,13 +49,15 @@ val square : t -> t -> unit
 
 val mul_small : t -> t -> int -> unit
 (** [mul_small o a c] is [o <- a * c] for a small constant
-    [0 <= c < 2^17] (used for 121665 and the base point's u = 9). *)
+    [0 <= c < 2^17] (used for the ladder's 121665). *)
 
 val invert : t -> t -> unit
-(** [a^(p-2)] by Fermat. *)
+(** [a^(p-2)] by Fermat, via ref10's addition chain (254 squarings,
+    11 multiplications); [invert 0 = 0]. *)
 
 val pow2523 : t -> t -> unit
-(** [a^((p-5)/8)], the Edwards decompression square-root helper. *)
+(** [a^((p-5)/8)], the Edwards decompression square-root helper
+    (ref10's chain: 251 squarings, 11 multiplications). *)
 
 val parity : t -> int
 val equal : t -> t -> bool

@@ -1,5 +1,6 @@
-(* Ed25519 over the 51-bit field: RFC 8032 §7.1 vectors, algebraic
-   re-derivation of the curve constants (which ed25519.ml now states as
+(* Ed25519 over the 51-bit field: the Edwards25519 fixed-base comb
+   against the generic ladder, RFC 8032 §7.1 vectors, algebraic
+   re-derivation of the curve constants (which edwards25519.ml states as
    canonical byte encodings), and rejection tests for non-canonical s
    and wrong-length inputs. *)
 
@@ -38,8 +39,56 @@ let add_l_to_s signature =
   done;
   if !carry = 0 then Some forged else None
 
+(* The fixed-base comb against the generic double-and-add ladder on B,
+   compared through the RFC 8032 encoding. *)
+let comb_agrees scalar =
+  let open Edwards25519 in
+  Prop.check_hex
+    ~what:(Printf.sprintf "comb(%s) vs ladder" (hex scalar))
+    (hex (encode (scalarmult (base ()) scalar)))
+    (hex (encode (scalarmult_base scalar)))
+
 let run () =
   Prop.suite "ed25519 (rfc 8032 vectors + rejections)";
+  (* Scalars below L (the top nibble cleared leaves s < 2^252 < L: the
+     r and s of signing and verification) and clamped (key
+     generation). *)
+  Prop.check ~name:"edwards comb = ladder (s < L)" ~count:200
+    (Prop.gen_bytes 32) (fun s ->
+      Bytes_util.set_u8 s 31 (Bytes_util.get_u8 s 31 land 0x0f);
+      comb_agrees s);
+  Prop.check ~name:"edwards comb = ladder (clamped)" ~count:200
+    (Prop.gen_bytes 32) (fun s -> comb_agrees (Curve25519.clamp s));
+  (* Unclamped digit edges: 0 (the identity), all digits 7, digit -8
+     carrying through every digit, 2^255 - 1 (top digit 8), bit 254
+     alone, and L - 1. *)
+  Prop.vector ~name:"edwards comb edge scalars" (fun () ->
+      let top b =
+        let s = Bytes.make 32 b in
+        Bytes_util.set_u8 s 31 (Bytes_util.get_u8 s 31 land 0x7f);
+        s
+      in
+      let bit254 = Bytes.make 32 '\000' in
+      Bytes_util.set_u8 bit254 31 0x40;
+      let l_minus_1 = Bytes.init 32 (fun i -> Char.chr order_l.(i)) in
+      Bytes_util.set_u8 l_minus_1 0 (order_l.(0) - 1);
+      List.iter comb_agrees
+        [
+          Bytes.make 32 '\000'; top '\x77'; top '\x88'; top '\xff'; bit254;
+          l_minus_1;
+        ]);
+  (* Table self-check: the scalar (j+1)·256^i has a single nonzero
+     digit, so the comb returns table entry (i, j) (for j = 7 combined
+     with entry (i, 0), since 8 recodes as 16 - 8); all 256 must match
+     the ladder. *)
+  Prop.vector ~name:"edwards comb table entries" (fun () ->
+      for i = 0 to 31 do
+        for j = 0 to 7 do
+          let s = Bytes.make 32 '\000' in
+          Bytes_util.set_u8 s i (j + 1);
+          comb_agrees s
+        done
+      done);
   rfc8032_vector ~name:"rfc8032 test 1 (empty message)"
     ~sk:"9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"
     ~pk:"d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"
@@ -65,8 +114,8 @@ let run () =
       "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
     ~signature:
       "dc2a4459e7369633a52b1bf277839a00201009a3efbf3ecb69bea2186c26b58909351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704";
-  (* The curve constants stated as byte encodings in ed25519.ml, checked
-     algebraically over Fe25519: d = -121665/121666, 2d = d + d,
+  (* The curve constants stated as byte encodings in edwards25519.ml,
+     checked algebraically over Fe25519: d = -121665/121666, 2d = d + d,
      I^2 = -1, and the base point satisfies the curve equation
      -x^2 + y^2 = 1 + d x^2 y^2. *)
   Prop.vector ~name:"curve constants re-derived" (fun () ->

@@ -1,6 +1,6 @@
 (* X25519: full-ladder differential agreement against the seed
-   implementation, plus Wycheproof-style edge-case vectors and the
-   RFC 7748 iterated test. *)
+   implementation, the fixed-base comb against both ladders, plus
+   Wycheproof-style edge-case vectors and the RFC 7748 iterated test. *)
 
 open Vuvuzela_crypto
 open Vuvuzela_oracles
@@ -34,20 +34,37 @@ let run () =
           (Printf.sprintf "scalarmult(%s, %s)" (hex scalar) (hex point))
         (hex (Curve25519_ref.scalarmult ~scalar ~point))
         (hex (Curve25519.scalarmult ~scalar ~point)));
-  (* The fixed-base (keygen) path must agree with both the reference
-     ladder and our own variable-base ladder. *)
-  Prop.check ~name:"x25519 fixed-base = ref and general" ~count:100
-    (Prop.gen_bytes 32) (fun scalar ->
-      let fixed = Curve25519.scalarmult_base scalar in
-      Prop.check_hex
-        ~what:(Printf.sprintf "scalarmult_base(%s) vs ref" (hex scalar))
-        (hex (Curve25519_ref.scalarmult_base scalar))
-        (hex fixed);
-      Prop.check_hex
-        ~what:(Printf.sprintf "scalarmult_base(%s) vs general" (hex scalar))
-        (hex
-           (Curve25519.scalarmult ~scalar ~point:Curve25519.base_point))
-        (hex fixed));
+  (* The fixed-base (keygen) path — Edwards25519's comb mapped to
+     Montgomery u — must agree with both the seed ladder and our own
+     variable-base ladder on the base point. *)
+  let fixed_base_agrees scalar =
+    let fixed = Curve25519.scalarmult_base scalar in
+    Prop.check_hex
+      ~what:(Printf.sprintf "scalarmult_base(%s) vs ref" (hex scalar))
+      (hex (Curve25519_ref.scalarmult_base scalar))
+      (hex fixed);
+    Prop.check_hex
+      ~what:(Printf.sprintf "scalarmult_base(%s) vs general" (hex scalar))
+      (hex (Curve25519.scalarmult ~scalar ~point:Curve25519.base_point))
+      (hex fixed)
+  in
+  Prop.check ~name:"x25519 fixed-base = ref and general" ~count:1000
+    (Prop.gen_bytes 32) fixed_base_agrees;
+  (* Named scalars at the comb's digit-recoding edges (after clamping):
+     all-zero (just bit 254), all-0xff (every digit carries, the top
+     digit reaches 8), 0x77.. (digits 7, no carry), 0x88.. (digit -8
+     and a carry through every digit), and bit 254 alone. *)
+  Prop.vector ~name:"x25519 fixed-base edge scalars" (fun () ->
+      let bit254 = Bytes.make 32 '\000' in
+      Bytes_util.set_u8 bit254 31 0x40;
+      List.iter fixed_base_agrees
+        [
+          Bytes.make 32 '\000';
+          Bytes.make 32 '\xff';
+          Bytes.make 32 '\x77';
+          Bytes.make 32 '\x88';
+          bit254;
+        ]);
   (* Wycheproof-style edges. *)
   Prop.check ~name:"low-order points map to zero" ~count:25
     (Prop.gen_bytes 32) (fun scalar ->

@@ -171,6 +171,41 @@ let test_standalone_server_pool () =
   Server.shutdown s;
   Server.shutdown s
 
+(* The fixed-base comb's table is built once at module initialisation
+   and only read afterwards, and every scratch buffer belongs to one
+   call: fixed-base keys and whole onion wraps computed on 4 domains at
+   once must equal the sequential batch byte for byte. *)
+let test_fixed_base_domain_safe () =
+  let module Drbg = Vuvuzela_crypto.Drbg in
+  let module Curve25519 = Vuvuzela_crypto.Curve25519 in
+  let module Onion = Vuvuzela_mixnet.Onion in
+  let rng = Drbg.of_string "fixed-base-domains" in
+  let n = 64 in
+  let sks = Array.init n (fun _ -> Drbg.bytes ~rng 32) in
+  let server_pks = List.init 3 (fun _ -> snd (Drbg.keypair ~rng ())) in
+  let ephs = Array.init n (fun _ -> Onion.draw_eph_sks ~rng ~chain_len:3 ()) in
+  let payloads = Array.init n (fun _ -> Drbg.bytes ~rng 240) in
+  let batch jobs =
+    let pool = Pool.create ~jobs in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    let pks = Pool.map_array pool Curve25519.scalarmult_base sks in
+    let wraps =
+      Pool.mapi_array pool
+        (fun i eph_sks ->
+          let w =
+            Onion.wrap_with ~eph_sks ~server_pks ~round:7 payloads.(i)
+          in
+          Bytes.concat Bytes.empty (w.Onion.onion :: Array.to_list w.secrets))
+        ephs
+    in
+    let hex a = Array.to_list (Array.map Vuvuzela_crypto.Bytes_util.to_hex a) in
+    (hex pks, hex wraps)
+  in
+  let pks1, wraps1 = batch 1 in
+  let pks4, wraps4 = batch 4 in
+  Alcotest.(check (list string)) "scalarmult_base jobs=4 = jobs=1" pks1 pks4;
+  Alcotest.(check (list string)) "wrap_with jobs=4 = jobs=1" wraps1 wraps4
+
 let suite =
   let tc = Alcotest.test_case in
   ( "parallel",
@@ -181,4 +216,5 @@ let suite =
       tc "deployment bit-identical across jobs" `Quick
         test_deployment_determinism;
       tc "standalone server pool" `Quick test_standalone_server_pool;
+      tc "fixed-base comb is domain-safe" `Quick test_fixed_base_domain_safe;
     ] )

@@ -422,6 +422,32 @@ let parallel_scaling () =
         (1000. *. dt) onions_s speedup)
     job_counts
 
+(* Provenance header for a BENCH_*.json: the schema, the commit, the UTC
+   time, the OCaml version and the host's core count, so a number can be
+   traced to the code and machine that produced it. *)
+let provenance () =
+  let module J = Vuvuzela_telemetry.Json in
+  let git_rev =
+    match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
+    | ic ->
+        let rev = try input_line ic with End_of_file -> "unknown" in
+        ignore (Unix.close_process_in ic);
+        rev
+    | exception Unix.Unix_error _ -> "unknown"
+  in
+  let t = Unix.gmtime (Unix.time ()) in
+  [
+    ("schema", J.Num 1.);
+    ("git_rev", J.Str git_rev);
+    ( "date",
+      J.Str
+        (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.tm_year + 1900)
+           (t.tm_mon + 1) t.tm_mday t.tm_hour t.tm_min t.tm_sec) );
+    ("ocaml_version", J.Str Sys.ocaml_version);
+    ( "host_cores",
+      J.Num (float_of_int (Vuvuzela_parallel.Pool.default_jobs ())) );
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry: machine-readable per-stage latency export                *)
 (* ------------------------------------------------------------------ *)
@@ -494,13 +520,13 @@ let round_stage_export () =
   in
   let doc =
     T.Json.Obj
-      [
-        ("benchmark", T.Json.Str "round-stages");
+      ((("benchmark", T.Json.Str "round-stages") :: provenance ())
+      @ [
         ("servers", T.Json.Num 3.);
         ("clients", T.Json.Num (float_of_int n_clients));
         ("rounds_per_job_count", T.Json.Num (float_of_int rounds));
         ("job_counts", T.Json.List (List.map per_jobs [ 1; 2; 4 ]));
-      ]
+      ])
   in
   let oc = open_out "BENCH_round_stages.json" in
   output_string oc (T.Json.to_string doc);
@@ -512,35 +538,11 @@ let round_stage_export () =
 (* Crypto: 51-bit field rewrite vs the retained seed implementation    *)
 (* ------------------------------------------------------------------ *)
 
-(* Provenance header for a BENCH_*.json: the commit, the UTC time, the
-   OCaml version and the host's core count, so a number can be traced to
-   the code and machine that produced it. *)
-let provenance () =
-  let module J = Vuvuzela_telemetry.Json in
-  let git_rev =
-    match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
-    | ic ->
-        let rev = try input_line ic with End_of_file -> "unknown" in
-        ignore (Unix.close_process_in ic);
-        rev
-    | exception Unix.Unix_error _ -> "unknown"
-  in
-  let t = Unix.gmtime (Unix.time ()) in
-  [
-    ("git_rev", J.Str git_rev);
-    ( "date",
-      J.Str
-        (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.tm_year + 1900)
-           (t.tm_mon + 1) t.tm_mday t.tm_hour t.tm_min t.tm_sec) );
-    ("ocaml_version", J.Str Sys.ocaml_version);
-    ( "host_cores",
-      J.Num (float_of_int (Vuvuzela_parallel.Pool.default_jobs ())) );
-  ]
-
 (* Throughput of the rewritten X25519 (5×51-bit limbs) against the
    retained seed ladder (Curve25519_ref, 16×16-bit limbs), the
-   fixed-base comb against the ladder on u = 9 (its oracle), field
-   inversion and Ed25519 signing, AEAD seal/open throughput, the
+   fixed-base comb against the ladder on u = 9 (its oracle), the
+   server-key table comb and its build cost, field multiplication,
+   squaring and inversion, Ed25519 signing, AEAD seal/open throughput, the
    chunked-vs-per-item pool dispatch cost, and the end-to-end round cost
    at jobs ∈ {1, 2, 4} plus a pipelined run — written to
    BENCH_crypto.json so the numbers are diffable run-to-run.  The host
@@ -583,8 +585,29 @@ let crypto_bench () =
     ops_per_sec (fun () ->
         ignore (Curve25519.scalarmult ~scalar:sk ~point:Curve25519.base_point))
   in
+  (* The table comb against a fixed server key: what every wrapped
+     layer's DH runs (Onion.wrap_with), and what building its table
+     costs once per key. *)
+  let table = Option.get (Curve25519.point_table peer_pk) in
+  let x_fixed_point =
+    ops_per_sec (fun () -> ignore (Curve25519.scalarmult_table table sk))
+  in
+  let table_build_ms =
+    1000. /. ops_per_sec (fun () -> ignore (Curve25519.point_table peer_pk))
+  in
   let fe = Fe25519.unpack peer_pk and fe_out = Fe25519.create () in
   let fe_invert = ops_per_sec (fun () -> Fe25519.invert fe_out fe) in
+  (* ns per field multiplication and squaring, 1000 chained per call. *)
+  let fe_ns op =
+    let acc = Fe25519.copy fe in
+    1e6
+    /. ops_per_sec (fun () ->
+           for _ = 1 to 1000 do
+             op acc
+           done)
+  in
+  let fe_mul_ns = fe_ns (fun acc -> Fe25519.mul acc acc fe) in
+  let fe_square_ns = fe_ns (fun acc -> Fe25519.square acc acc) in
   let ed_sign =
     let ed_sk, _ = Ed25519.keypair ~rng () in
     let msg = Drbg.generate rng 200 in
@@ -596,7 +619,12 @@ let crypto_bench () =
   Printf.printf "  x25519 fixed-base comb  %10.0f ops/s (%.2fx the ladder)\n"
     x_base (x_base /. x_ladder_base);
   Printf.printf "  x25519 ladder on u=9    %10.0f ops/s\n" x_ladder_base;
+  Printf.printf "  x25519 server-key comb  %10.0f ops/s (%.2fx the ladder)\n"
+    x_fixed_point (x_fixed_point /. x_new);
+  Printf.printf "  edwards25519 table      %10.2f ms to build\n" table_build_ms;
   Printf.printf "  fe25519 invert          %10.0f ops/s\n" fe_invert;
+  Printf.printf "  fe25519 mul / square    %10.0f / %.0f ns\n" fe_mul_ns
+    fe_square_ns;
   Printf.printf "  ed25519 sign (200 B)    %10.0f ops/s\n" ed_sign;
   Printf.printf "  speedup %.2fx %s\n" speedup
     (if speedup >= 3. then "(meets the >=3x target)"
@@ -719,11 +747,7 @@ let crypto_bench () =
     chunked_ops per_item_ops (chunked_ops /. per_item_ops) pool_jobs;
   let doc =
     T.Json.Obj
-      ([
-        ("benchmark", T.Json.Str "crypto");
-        ("schema", T.Json.Num 1.);
-      ]
-      @ provenance ()
+      ((("benchmark", T.Json.Str "crypto") :: provenance ())
       @ [
         ( "x25519",
           T.Json.Obj
@@ -732,10 +756,18 @@ let crypto_bench () =
               ("seed_ops_per_sec", T.Json.Num x_ref);
               ("fixed_base_ops_per_sec", T.Json.Num x_base);
               ("ladder_base_ops_per_sec", T.Json.Num x_ladder_base);
+              ("fixed_point_ops_per_sec", T.Json.Num x_fixed_point);
               ("speedup_vs_seed", T.Json.Num speedup);
             ] );
+        ( "edwards25519",
+          T.Json.Obj [ ("table_build_ms", T.Json.Num table_build_ms) ] );
         ( "fe25519",
-          T.Json.Obj [ ("invert_ops_per_sec", T.Json.Num fe_invert) ] );
+          T.Json.Obj
+            [
+              ("invert_ops_per_sec", T.Json.Num fe_invert);
+              ("mul_ns", T.Json.Num fe_mul_ns);
+              ("square_ns", T.Json.Num fe_square_ns);
+            ] );
         ("ed25519", T.Json.Obj [ ("sign_ops_per_sec", T.Json.Num ed_sign) ]);
         ( "aead_1kib",
           T.Json.Obj
@@ -1134,16 +1166,14 @@ let transport_bench () =
     in
     let doc =
       T.Json.Obj
-        [
-          ("benchmark", T.Json.Str "transport");
-          ("schema", T.Json.Num 1.);
-          ("host_cores", T.Json.Num (float_of_int (Vuvuzela_parallel.Pool.default_jobs ())));
+        ((("benchmark", T.Json.Str "transport") :: provenance ())
+        @ [
           ("servers", T.Json.Num 3.);
           ("clients", T.Json.Num (float_of_int n_clients));
           ("rounds_per_config", T.Json.Num (float_of_int rounds));
           ("job_counts", T.Json.List job_rows);
           ("reconnect_recovery_ms", T.Json.Num recovery_ms);
-        ]
+        ])
     in
     let oc = open_out "BENCH_transport.json" in
     output_string oc (T.Json.to_string doc);
@@ -1401,17 +1431,15 @@ let churn_bench () =
     in
     let doc =
       T.Json.Obj
-        [
-          ("benchmark", T.Json.Str "churn");
-          ("schema", T.Json.Num 1.);
-          ("host_cores", T.Json.Num (float_of_int (Vuvuzela_parallel.Pool.default_jobs ())));
+        ((("benchmark", T.Json.Str "churn") :: provenance ())
+        @ [
           ("servers", T.Json.Num 3.);
           ("clients", T.Json.Num (float_of_int n_clients));
           ("rounds_per_config", T.Json.Num (float_of_int rounds));
           ("wan_rows", T.Json.List wan_rows);
           ("flap_rows", T.Json.List flap_rows);
           ("reconnect_recovery_ms", T.Json.Num recovery_ms);
-        ]
+        ])
     in
     let oc = open_out "BENCH_churn.json" in
     output_string oc (T.Json.to_string doc);
@@ -1679,11 +1707,8 @@ let scale_bench () =
   in
   let doc =
     T.Json.Obj
-      [
-        ("benchmark", T.Json.Str "scale");
-        ("schema", T.Json.Num 1.);
-        ( "host_cores",
-          T.Json.Num (float_of_int (Vuvuzela_parallel.Pool.default_jobs ())) );
+      ((("benchmark", T.Json.Str "scale") :: provenance ())
+      @ [
         ("transport", T.Json.Str transport_name);
         ("servers", T.Json.Num 3.);
         ("deaddrop_shards", T.Json.Num (float_of_int shards));
@@ -1691,7 +1716,7 @@ let scale_bench () =
         ("rounds_per_cell", T.Json.Num (float_of_int rounds));
         ("paper_msgs_per_sec", T.Json.Num 68_000.);
         ("rows", T.Json.List rows);
-      ]
+      ])
   in
   let oc = open_out "BENCH_scale.json" in
   output_string oc (T.Json.to_string doc);
@@ -1700,24 +1725,27 @@ let scale_bench () =
   Printf.printf "  wrote BENCH_scale.json\n"
 
 let () =
-  (* BENCH_ONLY=transport: just the daemon round-trip section (used by
-     CI smoke; the full run takes minutes). *)
-  if Sys.getenv_opt "BENCH_ONLY" = Some "transport" then begin
-    transport_bench ();
-    exit 0
-  end;
-  if Sys.getenv_opt "BENCH_ONLY" = Some "crypto" then begin
-    crypto_bench ();
-    exit 0
-  end;
-  if Sys.getenv_opt "BENCH_ONLY" = Some "churn" then begin
-    churn_bench ();
-    exit 0
-  end;
-  if Sys.getenv_opt "BENCH_ONLY" = Some "scale" then begin
-    scale_bench ();
-    exit 0
-  end;
+  (* BENCH_ONLY=<section>: just one section (CI smokes, and
+     regenerating one BENCH_*.json; the full run takes minutes). *)
+  (match Sys.getenv_opt "BENCH_ONLY" with
+  | None -> ()
+  | Some only ->
+      (match
+         List.assoc_opt only
+           [
+             ("transport", transport_bench);
+             ("crypto", crypto_bench);
+             ("churn", churn_bench);
+             ("scale", scale_bench);
+             ("stages", round_stage_export);
+           ]
+       with
+      | Some run ->
+          run ();
+          exit 0
+      | None ->
+          Printf.eprintf "BENCH_ONLY=%s: no such section\n" only;
+          exit 2));
   print_endline "VUVUZELA (SOSP 2015) - evaluation reproduction";
   let dh_ns = run_benchmarks () in
   figure6 ();

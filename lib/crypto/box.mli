@@ -13,6 +13,10 @@ val precompute : secret:bytes -> public:bytes -> bytes
 (** Symmetric key derived from the X25519 shared point via HKDF.  Both
     sides of the DH pair obtain the same key. *)
 
+val key_of_shared : bytes -> bytes
+(** {!precompute}'s HKDF step alone, for a shared point computed
+    elsewhere. *)
+
 val seal : key:bytes -> nonce:bytes -> ?aad:bytes -> bytes -> bytes
 val open_ : key:bytes -> nonce:bytes -> ?aad:bytes -> bytes -> bytes option
 

@@ -8,15 +8,15 @@
    Curve25519_ref (test/oracles) as the differential-testing oracle.
 
    Two paths, one per kind of input:
-   - [scalarmult] (any point: every peel, and the DH half of every wrap)
-     runs the Montgomery ladder, a constant sequence of field operations
-     per scalar bit;
-   - [scalarmult_base] (the ephemeral public key of every wrap) computes
-     a·B on the birationally equivalent Edwards curve with
-     Edwards25519's precomputed comb and maps the result to the
-     Montgomery u = (1 + y)/(1 - y) = (Z + Y)/(Z - Y), about 3x fewer
-     field operations than the ladder.  The ladder on the base point
-     ([scalarmult ~point:base_point]) stays its test oracle. *)
+   - [scalarmult] (points that vary: every peel, sealed-box
+     invitations, and keys with no table) runs the Montgomery ladder, a
+     constant sequence of field operations per scalar bit;
+   - [scalarmult_base] (the ephemeral public key of every wrap) and
+     [scalarmult_table] (every wrapped layer's DH against a chain server
+     key, over the table [point_table] builds once) compute a·P on the
+     birationally equivalent Edwards curve with Edwards25519's comb and
+     map the result to the Montgomery u = (1 + y)/(1 - y), about 3x
+     fewer field operations than the ladder, which stays their oracle. *)
 
 let key_len = 32
 let scalar_len = 32
@@ -80,10 +80,9 @@ let base_point =
   Bytes.set b 0 '\x09';
   b
 
-let scalarmult_base scalar =
-  if Bytes.length scalar <> scalar_len then
-    invalid_arg "Curve25519: bad scalar length";
-  let { Edwards25519.y; z; _ } = Edwards25519.scalarmult_base (clamp scalar) in
+(* Edwards (X:Y:Z:T) to Montgomery u = (1 + y)/(1 - y) = (Z + Y)/(Z - Y);
+   the identity (Z = Y) gives invert 0 = 0, the ladder's answer too. *)
+let u_of_edwards { Edwards25519.y; z; _ } =
   let open Fe25519 in
   let num = create () and den = create () in
   add num z y;
@@ -91,6 +90,35 @@ let scalarmult_base scalar =
   invert den den;
   mul num num den;
   pack num
+
+let scalarmult_base scalar =
+  if Bytes.length scalar <> scalar_len then
+    invalid_arg "Curve25519: bad scalar length";
+  u_of_edwards (Edwards25519.scalarmult_base (clamp scalar))
+
+type table = Edwards25519.table
+
+(* u to Edwards: y = (u - 1)/(u + 1), then x from the curve equation by
+   decode_neg.  Its sign is arbitrary and harmless, as u(a·P) = u(a·(-P)).
+   None for u = -1 (no Edwards image) and for points on the twist (no
+   x). *)
+let point_table u =
+  if Bytes.length u <> key_len then invalid_arg "Curve25519: bad point length";
+  let open Fe25519 in
+  let u = unpack u and num = create () and den = create () in
+  sub num u (one ());
+  add den u (one ());
+  if equal den (zero ()) then None
+  else begin
+    invert den den;
+    mul num num den;
+    Option.map Edwards25519.table_of_point (Edwards25519.decode_neg (pack num))
+  end
+
+let scalarmult_table table scalar =
+  if Bytes.length scalar <> scalar_len then
+    invalid_arg "Curve25519: bad scalar length";
+  u_of_edwards (Edwards25519.scalarmult_table table (clamp scalar))
 
 (* Diffie-Hellman: the raw shared point is passed through HKDF before use
    as a symmetric key (see Box), matching best practice. *)

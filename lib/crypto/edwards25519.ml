@@ -1,33 +1,36 @@
 (* The twisted Edwards form of Curve25519, -x^2 + y^2 = 1 + d x^2 y^2,
    over the shared Fe25519 field arithmetic: the group law shared by
-   Ed25519 signatures and the fixed-base half of X25519.  It sits below
-   both because Curve25519 -> Ed25519 would close the cycle
+   Ed25519 signatures and the fixed-point half of X25519 (ephemeral
+   keys, and every wrapped layer's DH against a chain server key).  It
+   sits below both because Curve25519 -> Ed25519 would close the cycle
    Curve25519 -> Ed25519 -> Drbg -> Curve25519.
 
    Points are held in extended coordinates (X, Y, Z, T) with
    x = X/Z, y = Y/Z, xy = T/Z.
 
-   Fixed-base multiplication follows ref10/libsodium's
-   ge_scalarmult_base: the scalar is recoded into 64 signed radix-16
-   digits e_k in [-8, 8], so that
+   Fixed-point multiplication follows ref10/libsodium's
+   ge_scalarmult_base, for any point P known in advance: the scalar is
+   recoded into 64 signed radix-16 digits e_k in [-8, 8], so that
 
-     a·B = sum_k e_k 16^k B
-         = 16 · (sum_i e_(2i+1) 256^i B) + sum_i e_(2i) 256^i B,
+     a·P = sum_k e_k 16^k P
+         = 16 · (sum_i e_(2i+1) 256^i P) + sum_i e_(2i) 256^i P,
 
-   and every term |e| 256^i B is read from a table of
-   (j+1)·256^i·B, i < 32, j < 8: 64 mixed additions and 4 doublings,
+   and every term |e| 256^i P is read from a table of
+   (j+1)·256^i·P, i < 32, j < 8: 64 mixed additions and 4 doublings,
    against the ladder's 255 steps.  The table holds each point in
    affine (y+x, y-x, 2dxy) form, which makes the mixed addition 7
-   multiplications.  It is computed here from the base point when the
-   module is initialised (a few ms), before any domain can run; after
-   that it is only read, so concurrent callers share it safely and no
-   table data is stated as constants.
+   multiplications; the 256 affine conversions share one inversion.
+   [table_of_point] builds a table in about 1.6 ms; the base point's is
+   built when the module is initialised, before any domain can run.  A
+   table is only read once built, so concurrent callers share it safely,
+   and no table data is stated as constants.
 
    Constant time: the digits come from the scalar without branches; a
    lookup reads all eight entries of the (public) row i and keeps the
    wanted one with masks, and a negative digit is applied with a
    conditional swap and a conditional move.  No branch or memory index
-   depends on the scalar. *)
+   depends on the scalar.  The point P is public (a base or server
+   key), so building its table may branch on it. *)
 
 type point = { x : Fe25519.t; y : Fe25519.t; z : Fe25519.t; t : Fe25519.t }
 
@@ -169,43 +172,64 @@ let decode_neg (p : bytes) : point option =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Fixed base                                                          *)
+(* Fixed point                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* One table entry is 15 ints: the canonical limbs of y+x, y-x and
-   2dxy, in that order; entry (i, j) = (j+1)·256^i·B sits at
+   2dxy, in that order; entry (i, j) = (j+1)·256^i·P sits at
    ((8 i) + j) · 15. *)
+type table = int array
+
 let entry_len = 15
 
-let table =
-  let tab = Array.make (32 * 8 * entry_len) 0 in
-  let zi = Fe25519.create () and ax = Fe25519.create () in
-  let ay = Fe25519.create () and v = Fe25519.create () in
-  let store off fe =
-    Array.blit (Fe25519.unpack (Fe25519.pack fe)) 0 tab off 5
-  in
-  let row = base () (* 256^i B *) in
+(* The 256 entries are summed in extended coordinates, then normalised
+   with one batched inversion (Montgomery's trick: invert the product of
+   every Z once, then peel each 1/Z off with two multiplications). *)
+let table_of_point (p : point) : table =
+  let pts = Array.make 256 p in
+  let row = copy p (* 256^i P *) in
   for i = 0 to 31 do
-    let p = copy row in
+    let q = copy row in
     for j = 0 to 7 do
-      if j > 0 then add p row;
-      let off = ((8 * i) + j) * entry_len in
-      Fe25519.invert zi p.z;
-      Fe25519.mul ax p.x zi;
-      Fe25519.mul ay p.y zi;
-      Fe25519.add v ay ax;
-      store off v;
-      Fe25519.sub v ay ax;
-      store (off + 5) v;
-      Fe25519.mul v ax ay;
-      Fe25519.mul v v const_d2;
-      store (off + 10) v
+      if j > 0 then add q row;
+      pts.((8 * i) + j) <- copy q
     done;
     for _ = 1 to 8 do
       add row row
     done
   done;
+  let open Fe25519 in
+  (* prefix.(k) = Z_0 ... Z_k *)
+  let prefix = Array.init 256 (fun k -> copy pts.(k).z) in
+  for k = 1 to 255 do
+    mul prefix.(k) prefix.(k - 1) pts.(k).z
+  done;
+  let inv = create () and zi = create () and ax = create () in
+  let ay = create () and v = create () in
+  invert inv prefix.(255);
+  let tab = Array.make (256 * entry_len) 0 in
+  let store off fe = Array.blit (unpack (pack fe)) 0 tab off 5 in
+  for k = 255 downto 0 do
+    let q = pts.(k) in
+    if k > 0 then begin
+      mul zi inv prefix.(k - 1);
+      mul inv inv q.z
+    end
+    else blit ~src:inv ~dst:zi;
+    mul ax q.x zi;
+    mul ay q.y zi;
+    let off = k * entry_len in
+    Fe25519.add v ay ax;
+    store off v;
+    sub v ay ax;
+    store (off + 5) v;
+    mul v ax ay;
+    mul v v const_d2;
+    store (off + 10) v
+  done;
   tab
+
+let base_table = table_of_point (base ())
 
 let top_bit = Sys.int_size - 1
 let zero_fe = Fe25519.zero ()
@@ -213,11 +237,25 @@ let zero_fe = Fe25519.zero ()
 (* All ones when a = b, else 0, for 0 <= a, b < 16. *)
 let eq_mask a b = ((a lxor b) - 1) asr top_bit
 
-(* p <- p + (digit b)·256^i·B for b in [-8, 8].  [ypx], [ymx], [xy2d]
-   and [s0]..[s5] are the caller's scratch. *)
-let add_digit p i b ypx ymx xy2d s0 s1 s2 s3 s4 s5 =
+(* Limb o of the entry whose mask is set (0 when none is): OR over the
+   eight entries of a row.  Top-level, so no closure is allocated per
+   digit. *)
+let pick (table : table) o m1 m2 m3 m4 m5 m6 m7 m8 =
+  m1 land table.(o)
+  lor (m2 land table.(o + entry_len))
+  lor (m3 land table.(o + (2 * entry_len)))
+  lor (m4 land table.(o + (3 * entry_len)))
+  lor (m5 land table.(o + (4 * entry_len)))
+  lor (m6 land table.(o + (5 * entry_len)))
+  lor (m7 land table.(o + (6 * entry_len)))
+  lor (m8 land table.(o + (7 * entry_len)))
+
+(* p <- p + (digit b)·256^i·P for b in [-8, 8], P the point [table] was
+   built from.  [ypx], [ymx], [xy2d] and [s0]..[s5] are the caller's
+   scratch. *)
+let add_digit table p i b ypx ymx xy2d s0 s1 s2 s3 s4 s5 =
   let open Fe25519 in
-  (* Select |b|·256^i·B, or the identity (1, 1, 0) for b = 0, by
+  (* Select |b|·256^i·P, or the identity (1, 1, 0) for b = 0, by
      OR-ing every entry of row i under its mask: at most one mask is
      set. *)
   let neg = (b lsr top_bit) land 1 in
@@ -226,21 +264,10 @@ let add_digit p i b ypx ymx xy2d s0 s1 s2 s3 s4 s5 =
   let m4 = eq_mask babs 4 and m5 = eq_mask babs 5 and m6 = eq_mask babs 6 in
   let m7 = eq_mask babs 7 and m8 = eq_mask babs 8 in
   let row = 8 * i * entry_len in
-  let pick l =
-    let o = row + l in
-    m1 land table.(o)
-    lor (m2 land table.(o + entry_len))
-    lor (m3 land table.(o + (2 * entry_len)))
-    lor (m4 land table.(o + (3 * entry_len)))
-    lor (m5 land table.(o + (4 * entry_len)))
-    lor (m6 land table.(o + (5 * entry_len)))
-    lor (m7 land table.(o + (6 * entry_len)))
-    lor (m8 land table.(o + (7 * entry_len)))
-  in
   for l = 0 to 4 do
-    ypx.(l) <- pick l;
-    ymx.(l) <- pick (5 + l);
-    xy2d.(l) <- pick (10 + l)
+    ypx.(l) <- pick table (row + l) m1 m2 m3 m4 m5 m6 m7 m8;
+    ymx.(l) <- pick table (row + 5 + l) m1 m2 m3 m4 m5 m6 m7 m8;
+    xy2d.(l) <- pick table (row + 10 + l) m1 m2 m3 m4 m5 m6 m7 m8
   done;
   let is_zero = eq_mask babs 0 land 1 in
   ypx.(0) <- ypx.(0) lor is_zero;
@@ -265,9 +292,9 @@ let add_digit p i b ypx ymx xy2d s0 s1 s2 s3 s4 s5 =
   mul p.z s5 s3;
   mul p.t s4 s1
 
-let scalarmult_base (a : bytes) : point =
+let scalarmult_table (table : table) (a : bytes) : point =
   if Bytes.length a <> 32 || Bytes_util.get_u8 a 31 > 127 then
-    invalid_arg "Edwards25519.scalarmult_base: need 32 bytes, below 2^255";
+    invalid_arg "Edwards25519.scalarmult_table: need 32 bytes, below 2^255";
   (* Signed radix-16 digits: e_k in [0, 15], then carried into [-8, 7]
      (e_63 ends in [0, 8] because a < 2^255). *)
   let e = Array.make 64 0 in
@@ -289,12 +316,14 @@ let scalarmult_base (a : bytes) : point =
   let s3 = fe () and s4 = fe () and s5 = fe () in
   let p = identity () in
   for i = 0 to 31 do
-    add_digit p i e.((2 * i) + 1) ypx ymx xy2d s0 s1 s2 s3 s4 s5
+    add_digit table p i e.((2 * i) + 1) ypx ymx xy2d s0 s1 s2 s3 s4 s5
   done;
   for _ = 1 to 4 do
     add p p
   done;
   for i = 0 to 31 do
-    add_digit p i e.(2 * i) ypx ymx xy2d s0 s1 s2 s3 s4 s5
+    add_digit table p i e.(2 * i) ypx ymx xy2d s0 s1 s2 s3 s4 s5
   done;
   p
+
+let scalarmult_base a = scalarmult_table base_table a

@@ -2,10 +2,11 @@
    OCaml ints (curve25519-donna's radix-2^51 representation), with lazy
    carries.  Shared by X25519 (Montgomery ladder) and Ed25519
    (Edwards-curve signatures); this is the hottest code in the system.
-   Every onion layer costs one variable-base scalar multiplication
-   (a 255-step ladder plus [invert]: ~2560 calls into [mul]/[square]
-   below) on both sides, and the wrapping side one fixed-base
-   multiplication more (Edwards25519's comb plus [invert]: ~750).
+   Every onion layer costs the peeling server one variable-base scalar
+   multiplication (a 255-step ladder plus [invert]: ~2560 calls into
+   [mul]/[square] below) and the wrapping side two fixed-point ones
+   (Edwards25519's comb plus [invert], ~750 each: the ephemeral key over
+   the base point's table, the DH over the server key's).
 
    Representation and carry discipline
    -----------------------------------

@@ -12,6 +12,10 @@
 
        e'_i = Seal(s_i, nonce_rep(round), e'_{i+1})
 
+   Wrapping a layer costs two fixed-point combs (pk_i over the base
+   point's table, s_i over the server key's: [server_table]) and no
+   ladder; peeling runs the ladder, as epk varies.
+
    Request layers add [layer_overhead] = 48 bytes each (32-byte key +
    16-byte tag); reply layers add [reply_overhead] = 16 bytes each.  All
    onions for the same chain length and payload size are therefore the
@@ -34,6 +38,40 @@ type wrapped = {
           unwrap the reply *)
 }
 
+(* Server keys are the same for every onion of a deployment, so each
+   layer's DH(esk, server_pk) runs the comb over a table built once per
+   key.  The process-wide cache keeps the [table_cache_size] most
+   recently built keys, [None] included (u = -1 or a twist point: the
+   ladder, without rebuilding).  Lock-free: readers do one Atomic.get of
+   an immutable list; a miss builds outside any lock and publishes by
+   compare-and-set (domains racing on one key build equal tables). *)
+let table_cache_size = 16
+
+let table_cache : (bytes * Curve25519.table option) list Atomic.t =
+  Atomic.make []
+
+let find pk entries =
+  List.find_map (fun (k, t) -> if Bytes.equal k pk then Some t else None)
+    entries
+
+let server_table pk =
+  match find pk (Atomic.get table_cache) with
+  | Some t -> t
+  | None ->
+      let t = Curve25519.point_table pk in
+      let entry = (Bytes.copy pk, t) in
+      let rec publish () =
+        let cur = Atomic.get table_cache in
+        if Option.is_none (find pk cur) then begin
+          let next =
+            List.filteri (fun i _ -> i < table_cache_size) (entry :: cur)
+          in
+          if not (Atomic.compare_and_set table_cache cur next) then publish ()
+        end
+      in
+      publish ();
+      t
+
 (* Wrap [payload] under pre-drawn ephemeral secrets, [eph_sks.(i)] for
    layer i (raw 32-byte strings; clamped here).  Pure — no RNG — so
    batches of wraps can fan out across domains while the coordinating
@@ -54,7 +92,12 @@ let wrap_with ~eph_sks ~server_pks ~round payload =
         let inner = go (i + 1) rest acc in
         let esk = Curve25519.clamp eph_sks.(i) in
         let epk = Curve25519.scalarmult_base esk in
-        let s = Box.precompute ~secret:esk ~public:spk in
+        let s =
+          Box.key_of_shared
+            (match server_table spk with
+            | Some t -> Curve25519.scalarmult_table t esk
+            | None -> Curve25519.scalarmult ~scalar:esk ~point:spk)
+        in
         secrets.(i) <- s;
         let ilen = Bytes.length inner in
         let out = Bytes.create (Curve25519.key_len + ilen + Aead.tag_len) in

@@ -32,8 +32,16 @@ val wrap_with :
   eph_sks:bytes array -> server_pks:bytes list -> round:int -> bytes -> wrapped
 (** [wrap] with the per-layer ephemeral secrets supplied by the caller
     (see {!draw_eph_sks}).  Pure — safe to fan out across domains.
+    Each layer's DH runs a comb over a table for its server key, built
+    on the key's first use and kept in a process-wide cache of the
+    {!table_cache_size} most recently built keys (keys with no table
+    keep the ladder); the result is bit-identical either way.
     [wrap ?rng ... p] ≡
     [wrap_with ~eph_sks:(draw_eph_sks ?rng ~chain_len ()) ... p]. *)
+
+val table_cache_size : int
+(** 16: how many server keys' DH tables {!wrap_with} keeps (30 KB
+    each). *)
 
 val peel : server_sk:bytes -> round:int -> bytes -> (bytes * bytes) option
 (** Server side: strip one layer, returning [(inner, layer_secret)], or

@@ -206,6 +206,52 @@ let test_fixed_base_domain_safe () =
   Alcotest.(check (list string)) "scalarmult_base jobs=4 = jobs=1" pks1 pks4;
   Alcotest.(check (list string)) "wrap_with jobs=4 = jobs=1" wraps1 wraps4
 
+(* Onion.wrap_with's per-server-key tables are built on first use and
+   published in a process-wide cache: 4 domains wrapping against keys
+   this process has never seen race to build and insert them.  One
+   batch shares a 3-key chain (every domain misses on the same keys);
+   the other draws its chains from more keys than the cache holds, so
+   entries are evicted and rebuilt while other domains read.  The
+   4-domain batch runs first, so it does the building; the jobs=1 rerun
+   must then equal it byte for byte. *)
+let test_server_tables_domain_safe () =
+  let module Drbg = Vuvuzela_crypto.Drbg in
+  let module Onion = Vuvuzela_mixnet.Onion in
+  let rng = Drbg.of_string "server-tables-domains" in
+  let n = 64 in
+  let fresh_keys k = Array.init k (fun _ -> snd (Drbg.keypair ~rng ())) in
+  let shared = Array.to_list (fresh_keys 3) in
+  let many = fresh_keys (Onion.table_cache_size + 24) in
+  let pick () = many.(Drbg.uniform ~rng (Array.length many)) in
+  let chains =
+    [|
+      Array.make n shared;
+      Array.init n (fun _ -> [ pick (); pick (); pick () ]);
+    |]
+  in
+  let ephs = Array.init n (fun _ -> Onion.draw_eph_sks ~rng ~chain_len:3 ()) in
+  let batch jobs chains =
+    let pool = Pool.create ~jobs in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    Pool.mapi_array pool
+      (fun i server_pks ->
+        let w =
+          Onion.wrap_with ~eph_sks:ephs.(i) ~server_pks ~round:3
+            (Bytes.make 64 'x')
+        in
+        Vuvuzela_crypto.Bytes_util.to_hex
+          (Bytes.concat Bytes.empty (w.Onion.onion :: Array.to_list w.secrets)))
+      chains
+    |> Array.to_list
+  in
+  Array.iteri
+    (fun k c ->
+      let four = batch 4 c in
+      Alcotest.(check (list string))
+        (Printf.sprintf "batch %d: wrap_with jobs=4 = jobs=1" k)
+        (batch 1 c) four)
+    chains
+
 let suite =
   let tc = Alcotest.test_case in
   ( "parallel",
@@ -217,4 +263,6 @@ let suite =
         test_deployment_determinism;
       tc "standalone server pool" `Quick test_standalone_server_pool;
       tc "fixed-base comb is domain-safe" `Quick test_fixed_base_domain_safe;
+      tc "server-key tables are domain-safe" `Quick
+        test_server_tables_domain_safe;
     ] )
